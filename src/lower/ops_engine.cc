@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <utility>
 
 #include "schema/schema.h"
@@ -17,6 +18,28 @@ constexpr std::size_t kAlign = alignof(std::max_align_t);
 // (lower.cc's kPreallocPerAppend) — the invariant that keeps element-context
 // rope appends inside the pre-mark block.
 constexpr std::uint32_t kRopeChunkCap = 48;
+// Segment pool: chunk slots are 32 B << class, carved from kChunkBytes
+// blocks.
+constexpr unsigned kSlotShift = 5;
+// Segment chains grow geometrically up to 4 KiB slots; a larger chunk only
+// ever holds one oversized record.
+constexpr unsigned kGrowMaxClass = 7;
+
+// The one append routine for ropes and segments: room for an n-byte unit
+// (whole records) at the end of `chain`, growing it with new_chunk(tail, n)
+// when the tail chunk cannot hold the unit.
+template <typename Chain, typename NewChunk>
+char* AppendRoom(Chain* chain, std::uint32_t n, NewChunk&& new_chunk) {
+  auto* t = chain->tail;
+  if (t == nullptr || t->cap - t->len < n) {
+    t = new_chunk(t, n);
+    t->len = 0;
+    chain->Push(t);
+  }
+  char* p = t->bytes() + t->len;
+  t->len += n;
+  return p;
+}
 }  // namespace
 
 void* OpsEngine::BumpArena::Alloc(std::size_t n) {
@@ -28,7 +51,7 @@ void* OpsEngine::BumpArena::Alloc(std::size_t n) {
     off_ = 0;
   }
   if (chunk_ == chunks_.size()) {
-    Chunk c;
+    Block c;
     c.size = std::max(kChunkBytes, n);
     c.bytes = std::make_unique<char[]>(c.size);
     chunks_.push_back(std::move(c));
@@ -56,64 +79,194 @@ OpsEngine::OpsEngine(const LoweredPlan& plan, OutputSink* sink,
       cancel_(cancel),
       cancel_check_events_(cancel_check_events),
       bridge_factory_(bridges),
-      arena_(tracker) {}
+      arena_(tracker),
+      pool_(tracker) {}
 
 OpsEngine::~OpsEngine() {
-  // Segments may still hold charges when a run ends early (error or an
-  // abandoned engine); settle the shared tracker's balance wholesale. The
-  // bridge records must go first: their sub-runs recycle cells and exprs
-  // into the shared scratch slabs the engine's owner destroys after us.
+  // The bridge records must go first: their sub-runs recycle cells and
+  // exprs into the shared scratch slabs the engine's owner destroys after
+  // us. Segments a run left behind (error or an abandoned engine) settle
+  // with the pool's tracker balance.
   bridges_.clear();
-  tracker_->Release(charged_bytes_);
 }
 
-OpsEngine::Segment* OpsEngine::NewSegment() {
-  Segment* s;
-  if (free_segments_ != nullptr) {
-    s = free_segments_;
-    free_segments_ = s->next;
-  } else {
-    all_segments_.push_back(std::make_unique<Segment>());
-    s = all_segments_.back().get();
+// ------------------------------------------------------------ segment pool
+
+void* OpsEngine::SegmentPool::Carve(std::size_t n) {
+  if (n > kChunkBytes) {
+    blocks_.emplace_back(new char[n]);
+    return blocks_.back().get();
   }
+  if (static_cast<std::size_t>(end_ - cur_) < n) {
+    blocks_.emplace_back(new char[kChunkBytes]);
+    cur_ = blocks_.back().get();
+    end_ = cur_ + kChunkBytes;
+  }
+  void* p = cur_;
+  cur_ += n;
+  return p;
+}
+
+OpsEngine::Segment* OpsEngine::SegmentPool::NewHeader() {
+  Segment* s = free_headers_;
+  if (s != nullptr) {
+    free_headers_ = s->next;
+  } else {
+    s = new (Carve(sizeof(Segment))) Segment;
+  }
+  tracker_->Charge(sizeof(Segment));
+  charged_ += sizeof(Segment);
+  return s;
+}
+
+void OpsEngine::SegmentPool::FreeHeader(Segment* s) {
+  tracker_->Release(sizeof(Segment));
+  charged_ -= sizeof(Segment);
+  s->next = free_headers_;
+  free_headers_ = s;
+}
+
+unsigned OpsEngine::SegmentPool::ClassOf(const Chunk* c) {
+  return static_cast<unsigned>(
+             __builtin_ctzll(std::uint64_t{c->cap} + sizeof(Chunk))) -
+         kSlotShift;
+}
+
+OpsEngine::Chunk* OpsEngine::SegmentPool::NewChunk(std::uint32_t min_cap,
+                                                   unsigned min_class) {
+  const std::uint64_t need = std::uint64_t{min_cap} + sizeof(Chunk);
+  unsigned k = need <= (std::uint64_t{1} << kSlotShift)
+                   ? 0
+                   : static_cast<unsigned>(64 - __builtin_clzll(need - 1)) -
+                         kSlotShift;
+  k = std::max(k, min_class);
+  const std::size_t slot = std::size_t{1} << (k + kSlotShift);
+  Chunk* c = free_chunks_[k];
+  if (c != nullptr) {
+    free_chunks_[k] = c->next;
+  } else {
+    c = static_cast<Chunk*>(Carve(slot));
+    c->cap = static_cast<std::uint32_t>(slot - sizeof(Chunk));
+  }
+  tracker_->Charge(slot);
+  charged_ += slot;
+  return c;
+}
+
+void OpsEngine::SegmentPool::FreeChain(ChunkChain* chain) {
+  if (chain->tail == nullptr) return;
+  Chunk* c = chain->tail->next;
+  chain->tail->next = nullptr;  // open the ring
+  chain->tail = nullptr;
+  while (c != nullptr) {
+    Chunk* next = c->next;
+    const unsigned k = ClassOf(c);
+    const std::size_t slot = std::size_t{1} << (k + kSlotShift);
+    tracker_->Release(slot);
+    charged_ -= slot;
+    c->next = free_chunks_[k];
+    free_chunks_[k] = c;
+    c = next;
+  }
+}
+
+// ---------------------------------------------------------------- segments
+
+OpsEngine::Segment* OpsEngine::NewSegment() {
+  Segment* s = pool_.NewHeader();
+  s->chain = ChunkChain{};
   s->next = nullptr;
-  s->closed = false;
-  s->live = false;
-  const std::size_t charge = sizeof(Segment) + s->data.capacity();
-  tracker_->Charge(charge);
-  charged_bytes_ += charge;
+  s->prev_bits = 0;
+  if (++live_segments_ > segments_peak_) segments_peak_ = live_segments_;
   return s;
 }
 
 void OpsEngine::RecycleSegment(Segment* s) {
-  const std::size_t charge = sizeof(Segment) + s->data.capacity();
-  tracker_->Release(charge);
-  charged_bytes_ -= charge;
-  s->data.clear();  // keeps capacity for the next acquire
-  s->next = free_segments_;
-  free_segments_ = s;
-}
-
-void OpsEngine::ChargeAppend(Segment* s, const char* bytes, std::size_t n) {
-  const std::size_t old_cap = s->data.capacity();
-  s->data.append(bytes, n);
-  const std::size_t new_cap = s->data.capacity();
-  if (new_cap != old_cap) {
-    tracker_->Charge(new_cap - old_cap);
-    charged_bytes_ += new_cap - old_cap;
-  }
+  pool_.FreeChain(&s->chain);
+  s->prev_bits = 0;  // reads as open: Coalesce skips stale closed_ entries
+  pool_.FreeHeader(s);
+  --live_segments_;
 }
 
 OpsEngine::Segment* OpsEngine::SplitAfter(Segment* cur) {
-  cur->closed = true;
+  // With nothing buffered in `cur` (all it wrote went to the sink or onto a
+  // closed predecessor), the spawned writer's output belongs exactly at
+  // cur's position: hand `cur` over instead of closing it behind a new
+  // segment.
+  if (cur->chain.empty()) return cur;
+  CloseSegment(cur);
   return InsertAfter(cur);
 }
 
 OpsEngine::Segment* OpsEngine::InsertAfter(Segment* prev) {
   Segment* s = NewSegment();
   s->next = prev->next;
+  s->set_prev(prev);
+  if (s->next != nullptr) s->next->set_prev(s);
   prev->next = s;
   return s;
+}
+
+char* OpsEngine::SegmentRoom(Segment* s, std::uint32_t n) {
+  // Small segments stay small: the first chunk is the smallest slot that
+  // holds the first record, and each further chunk doubles the slot class
+  // (up to kGrowMaxClass) — so a chain's slack stays proportional to its
+  // content.
+  ChunkChain* chain = &s->chain;
+  if (chain->empty()) {
+    // Nothing buffered yet behind a closed predecessor: appending onto the
+    // predecessor's chain is the same byte order (no segment can ever be
+    // inserted between the two) and leaves nothing to merge at close.
+    Segment* p = s->prev();
+    if (p != nullptr && p->closed()) chain = &p->chain;
+  }
+  return AppendRoom(chain, n, [this](const Chunk* tail, std::uint32_t m) {
+    const unsigned min_class =
+        tail == nullptr
+            ? 0u
+            : std::min(SegmentPool::ClassOf(tail) + 1, kGrowMaxClass);
+    return pool_.NewChunk(m, min_class);
+  });
+}
+
+void OpsEngine::Coalesce() {
+  // Safe here and nowhere earlier: a segment closed during the event is no
+  // longer referenced by any program, consumer or bridge, and FlushHead
+  // already ran, so the head is open (or the chain is empty) and every
+  // closed segment has a predecessor. Entries drained by FlushHead or
+  // absorbed earlier in this pass read as open and are skipped.
+  for (Segment* s : closed_) {
+    if (!s->closed()) continue;
+    Segment* first = s;
+    while (first->prev() != nullptr && first->prev()->closed()) {
+      first = first->prev();
+    }
+    while (first->next != nullptr && first->next->closed()) {
+      Absorb(first, first->next);
+    }
+  }
+  closed_.clear();
+}
+
+void OpsEngine::Absorb(Segment* into, Segment* from) {
+  ChunkChain* src = &from->chain;
+  if (!src->empty()) {
+    Chunk* only = src->tail;
+    if (!into->chain.empty() && only->next == only &&
+        only->len <= into->chain.tail->cap) {
+      // A one-chunk successor no bigger than the tail chunk is copied:
+      // into the tail's free space when it fits, else into the next
+      // (doubled) chunk — splicing it would leave a small, partly empty
+      // chunk in the middle of the chain.
+      std::memcpy(SegmentRoom(into, only->len), only->bytes(), only->len);
+      pool_.FreeChain(src);
+    } else {
+      into->chain.Splice(src);
+    }
+  }
+  into->next = from->next;
+  if (into->next != nullptr) into->next->set_prev(into);
+  RecycleSegment(from);
 }
 
 namespace {
@@ -121,97 +274,107 @@ inline void PackTag(char* buf, char tag, std::uint32_t v) {
   buf[0] = tag;
   std::memcpy(buf + 1, &v, sizeof(v));
 }
+
+// A 'T' record: tag, length, bytes — TextRecordSize(text) bytes at `buf`.
+// Lengths are packed as uint32, like every record length.
+inline std::uint32_t TextRecordSize(std::string_view text) {
+  return 5 + static_cast<std::uint32_t>(text.size());
+}
+inline void PackText(char* buf, std::string_view text) {
+  const auto n = static_cast<std::uint32_t>(text.size());
+  PackTag(buf, 'T', n);
+  std::memcpy(buf + 5, text.data(), n);
+}
 }  // namespace
 
 void OpsEngine::EmitStart(Segment* s, SymbolId sym) {
-  if (s->live) {
+  if (s == live_) {
     sink_->StartElement(symbols_->name(sym));
     ++output_events_;
     return;
   }
-  char buf[5];
-  PackTag(buf, 'S', sym);
-  ChargeAppend(s, buf, sizeof(buf));
+  PackTag(SegmentRoom(s, 5), 'S', sym);
 }
 
 void OpsEngine::EmitEnd(Segment* s, SymbolId sym) {
-  if (s->live) {
+  if (s == live_) {
     sink_->EndElement(symbols_->name(sym));
     ++output_events_;
     return;
   }
-  char buf[5];
-  PackTag(buf, 'E', sym);
-  ChargeAppend(s, buf, sizeof(buf));
+  PackTag(SegmentRoom(s, 5), 'E', sym);
 }
 
 void OpsEngine::EmitTextSym(Segment* s, SymbolId sym) {
-  if (s->live) {
+  if (s == live_) {
     sink_->Text(symbols_->name(sym));
     ++output_events_;
     return;
   }
-  char buf[5];
-  PackTag(buf, 'L', sym);
-  ChargeAppend(s, buf, sizeof(buf));
+  PackTag(SegmentRoom(s, 5), 'L', sym);
 }
 
 void OpsEngine::EmitTextBytes(Segment* s, std::string_view text) {
-  if (s->live) {
+  if (s == live_) {
     // The zero-copy path: input text reaching the output of a live head
     // goes straight from the parser's buffer to the sink.
     sink_->Text(text);
     ++output_events_;
     return;
   }
-  char buf[5];
-  PackTag(buf, 'T', static_cast<std::uint32_t>(text.size()));
-  ChargeAppend(s, buf, sizeof(buf));
-  ChargeAppend(s, text.data(), text.size());
+  PackText(SegmentRoom(s, TextRecordSize(text)), text);
 }
 
-void OpsEngine::ReplayBytes(std::string_view data) {
-  const char* p = data.data();
-  const char* end = p + data.size();
-  while (p < end) {
-    const char tag = *p++;
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    switch (tag) {
-      case 'S':
-        sink_->StartElement(symbols_->name(v));
-        break;
-      case 'E':
-        sink_->EndElement(symbols_->name(v));
-        break;
-      case 'L':
-        sink_->Text(symbols_->name(v));
-        break;
-      default:  // 'T'
-        sink_->Text(std::string_view(p, v));
-        p += v;
-        break;
+void OpsEngine::ReplayChain(const ChunkChain& chain) {
+  if (chain.empty()) return;
+  const Chunk* c = chain.tail->next;
+  for (;;) {
+    const char* p = c->bytes();
+    const char* end = p + c->len;
+    while (p < end) {
+      const char tag = *p++;
+      std::uint32_t v;
+      std::memcpy(&v, p, sizeof(v));
+      p += sizeof(v);
+      switch (tag) {
+        case 'S':
+          sink_->StartElement(symbols_->name(v));
+          break;
+        case 'E':
+          sink_->EndElement(symbols_->name(v));
+          break;
+        case 'L':
+          sink_->Text(symbols_->name(v));
+          break;
+        default:  // 'T'
+          sink_->Text(std::string_view(p, v));
+          p += v;
+          break;
+      }
+      ++output_events_;
     }
-    ++output_events_;
+    if (c == chain.tail) return;
+    c = c->next;
   }
 }
 
 void OpsEngine::FlushHead() {
   while (head_ != nullptr) {
     Segment* s = head_;
-    if (s->closed) {
-      ReplayBytes(s->data);
+    if (s->closed()) {
+      ReplayChain(s->chain);
       head_ = s->next;
+      if (head_ != nullptr) head_->set_prev(nullptr);
+      if (s == live_) live_ = nullptr;
       RecycleSegment(s);
       continue;
     }
-    if (!s->live) {
+    if (s != live_) {
       // The head is still being written: drain what it buffered and switch
       // it to write-through until its writer splits or closes it.
-      ReplayBytes(s->data);
-      s->data.clear();
-      s->live = true;
+      ReplayChain(s->chain);
+      pool_.FreeChain(&s->chain);
+      live_ = s;
     }
     return;
   }
@@ -241,42 +404,29 @@ void* OpsEngine::RopeAlloc(std::size_t n) {
   return arena_.Alloc(n);
 }
 
-void OpsEngine::RopeAppend(Rope* rope, const char* bytes, std::uint32_t n) {
-  RopeChunk* t = rope->tail;
-  if (t == nullptr || t->cap - t->len < n) {
-    // A packed record never splits across chunks (live emits replay chunk
-    // by chunk), so the chunk is sized for the whole record when the
-    // default capacity cannot hold it.
-    const std::uint32_t cap = std::max(kRopeChunkCap, n);
-    RopeChunk* c =
-        static_cast<RopeChunk*>(RopeAlloc(sizeof(RopeChunk) + cap));
-    c->next = nullptr;
-    c->len = 0;
+char* OpsEngine::RopeRoom(Rope* rope, std::uint32_t n) {
+  return AppendRoom(rope, n, [this](const Chunk*, std::uint32_t m) {
+    const std::uint32_t cap = std::max(kRopeChunkCap, m);
+    Chunk* c = static_cast<Chunk*>(RopeAlloc(sizeof(Chunk) + cap));
     c->cap = cap;
-    if (t == nullptr) {
-      rope->head = c;
-    } else {
-      t->next = c;
-    }
-    rope->tail = c;
-    t = c;
-  }
-  std::memcpy(t->bytes() + t->len, bytes, n);
-  t->len += n;
+    return c;
+  });
 }
 
 void OpsEngine::RopePack(Rope* rope, char tag, std::uint32_t v) {
-  char buf[5];
-  PackTag(buf, tag, v);
-  RopeAppend(rope, buf, sizeof(buf));
+  PackTag(RopeRoom(rope, 5), tag, v);
 }
 
 void OpsEngine::RopeEmit(Segment* cur, Rope* rope) {
-  for (RopeChunk* c = rope->head; c != nullptr; c = c->next) {
-    if (cur->live) {
-      ReplayBytes(std::string_view(c->bytes(), c->len));
-    } else {
-      ChargeAppend(cur, c->bytes(), c->len);
+  if (cur == live_) {
+    ReplayChain(*rope);
+  } else if (!rope->empty()) {
+    // Chunk by chunk: each holds whole records, so each is one unit.
+    const Chunk* c = rope->tail->next;
+    for (;;) {
+      std::memcpy(SegmentRoom(cur, c->len), c->bytes(), c->len);
+      if (c == rope->tail) break;
+      c = c->next;
     }
   }
   // Linear discipline: a register is consumed by its one use. Clearing it
@@ -317,7 +467,7 @@ void OpsEngine::StartElementBridge(std::uint32_t site, Segment* seg,
       exec_status_ =
           Status::Internal("hybrid plan executed without a bridge factory");
     }
-    seg->closed = true;  // nothing will ever write it
+    CloseSegment(seg);  // nothing will ever write it
     return;
   }
   auto rec = std::make_unique<BridgeRec>(this, seg);
@@ -367,7 +517,7 @@ Status OpsEngine::CompleteBridges() {
     std::unique_ptr<BridgeRec> rec = std::move(bridges_.back());
     bridges_.pop_back();
     Status s = rec->run->Finish();
-    rec->seg->closed = true;
+    CloseSegment(rec->seg);
     if (!s.ok() && result.ok()) result = std::move(s);
   }
   return result;
@@ -496,48 +646,14 @@ op_rope_close_cur:
   RopePack(&staged_[staged_n_ - 1], 'E', sym);
   ++pc;
   XQMFT_OPS_DISPATCH();
-op_rope_text_cur: {
-  Rope* r = &staged_[staged_n_ - 1];
-  char hdr[5];
-  PackTag(hdr, 'T', static_cast<std::uint32_t>(text.size()));
-  RopeChunk* t = r->tail;
-  const std::uint32_t n = 5 + static_cast<std::uint32_t>(text.size());
-  if (t == nullptr || t->cap - t->len < n) {
-    const std::uint32_t cap = std::max(kRopeChunkCap, n);
-    RopeChunk* c =
-        static_cast<RopeChunk*>(RopeAlloc(sizeof(RopeChunk) + cap));
-    c->next = nullptr;
-    c->len = 0;
-    c->cap = cap;
-    if (t == nullptr) {
-      r->head = c;
-    } else {
-      t->next = c;
-    }
-    r->tail = c;
-    t = c;
-  }
-  std::memcpy(t->bytes() + t->len, hdr, sizeof(hdr));
-  std::memcpy(t->bytes() + t->len + sizeof(hdr), text.data(), text.size());
-  t->len += n;
+op_rope_text_cur:
+  PackText(RopeRoom(&staged_[staged_n_ - 1], TextRecordSize(text)), text);
   ++pc;
   XQMFT_OPS_DISPATCH();
-}
-op_rope_splice: {
-  Rope& src = ropes[pc->arg];
-  if (src.head != nullptr) {
-    Rope& dst = staged_[staged_n_ - 1];
-    if (dst.tail != nullptr) {
-      dst.tail->next = src.head;
-      dst.tail = src.tail;
-    } else {
-      dst = src;
-    }
-    src = Rope{};
-  }
+op_rope_splice:
+  staged_[staged_n_ - 1].Splice(&ropes[pc->arg]);
   ++pc;
   XQMFT_OPS_DISPATCH();
-}
 op_rope_child: {
   const std::uint32_t q = pc->arg;
   Rope* file = MaterializeFile();
@@ -569,7 +685,7 @@ op_rope_emit:
   ++pc;
   XQMFT_OPS_DISPATCH();
 op_done:
-  cur->closed = true;
+  CloseSegment(cur);
 #undef XQMFT_OPS_DISPATCH
 #else
   // Portable fallback: plain switch dispatch, same semantics.
@@ -650,51 +766,13 @@ op_done:
       case LowerOp::kRopeCloseCur:
         RopePack(&staged_[staged_n_ - 1], 'E', sym);
         break;
-      case LowerOp::kRopeTextCur: {
-        Rope* r = &staged_[staged_n_ - 1];
-        char hdr[5];
-        PackTag(hdr, 'T', static_cast<std::uint32_t>(text.size()));
-        RopeAppend(r, hdr, sizeof(hdr));
-        // RopeAppend keeps records whole; emulate by appending into the
-        // same chunk RopeAppend just guaranteed room in.
-        RopeChunk* t = r->tail;
-        if (t->cap - t->len >= text.size()) {
-          std::memcpy(t->bytes() + t->len, text.data(), text.size());
-          t->len += static_cast<std::uint32_t>(text.size());
-        } else {
-          // Undo the header and re-append the whole record into one chunk.
-          t->len -= sizeof(hdr);
-          char* rec = static_cast<char*>(
-              RopeAlloc(sizeof(RopeChunk) + sizeof(hdr) + text.size()));
-          RopeChunk* c = reinterpret_cast<RopeChunk*>(rec);
-          c->next = nullptr;
-          c->len = static_cast<std::uint32_t>(sizeof(hdr) + text.size());
-          c->cap = c->len;
-          std::memcpy(c->bytes(), hdr, sizeof(hdr));
-          std::memcpy(c->bytes() + sizeof(hdr), text.data(), text.size());
-          if (r->tail == nullptr) {
-            r->head = c;
-          } else {
-            r->tail->next = c;
-          }
-          r->tail = c;
-        }
+      case LowerOp::kRopeTextCur:
+        PackText(RopeRoom(&staged_[staged_n_ - 1], TextRecordSize(text)),
+                 text);
         break;
-      }
-      case LowerOp::kRopeSplice: {
-        Rope& src = ropes[insn.arg];
-        if (src.head != nullptr) {
-          Rope& dst = staged_[staged_n_ - 1];
-          if (dst.tail != nullptr) {
-            dst.tail->next = src.head;
-            dst.tail = src.tail;
-          } else {
-            dst = src;
-          }
-          src = Rope{};
-        }
+      case LowerOp::kRopeSplice:
+        staged_[staged_n_ - 1].Splice(&ropes[insn.arg]);
         break;
-      }
       case LowerOp::kRopeChild: {
         Rope* file = MaterializeFile();
         if (pc == end) {
@@ -722,7 +800,7 @@ op_done:
         break;
     }
   }
-  cur->closed = true;
+  CloseSegment(cur);
 #endif
 }
 
@@ -792,6 +870,7 @@ Status OpsEngine::Feed(const XmlEvent& event) {
       return Sticky(Status::Internal("unknown event type"));
   }
   FlushHead();
+  if (!closed_.empty()) Coalesce();
   if (total_consumers_ == 0 && bridges_.empty()) done_ = true;
   return Status::OK();
 }

@@ -16,23 +16,46 @@
 //     subtree of the scope that spawned it — so closing an element resets
 //     the arena to the mark taken when it opened, retiring the whole
 //     subtree's records in O(1) instead of refcounting each cell.
-//   * Output is a chain of *segments*: single-writer byte buffers ordered by
-//     final output position. A program writes its emissions into its
-//     segment; a spawn splits the segment so the spawned consumer's output
-//     lands exactly where the call appeared in the rule. The chain head
-//     drains to the sink as soon as its writer closes it — and an *open*
-//     head goes "live", forwarding writes straight to the sink with no
-//     buffering, which is the steady state of a single-consumer scan.
+//   * Output is a doubly linked chain of *segments*: single-writer spans
+//     ordered by final output position. A program writes its emissions into
+//     its segment; a spawn splits the segment (or hands it over whole when
+//     it buffers nothing) so the spawned consumer's output lands exactly
+//     where the call appeared in the rule. The chain head drains to the
+//     sink as soon as its writer closes it — and an *open* head goes
+//     "live", forwarding writes straight to the sink with no buffering,
+//     which is the steady state of a single-consumer scan.
+//   * A segment is a 24-byte pooled header owning a *chunk chain* of packed
+//     records ('S'/'E'/'L' + symbol id, 'T' + length + bytes); a record
+//     never straddles two chunks. Chunks come from a free-list pool in
+//     power-of-two slots: the first is the smallest that holds the first
+//     record, later ones double (to 4 KiB), so small segments stay small.
+//     A segment with nothing buffered behind a closed predecessor appends
+//     straight onto the predecessor's chain (same byte order: nothing can
+//     be inserted between them).
+//   * Coalescing invariant: at the end of every event, after the head has
+//     drained, each segment closed during the event merges with its closed
+//     neighbours — a one-chunk successor no bigger than the tail chunk is
+//     copied, anything else spliced in O(1). Only event end is safe: no
+//     program, consumer or bridge references a closed segment then, and the
+//     head is open. So no two adjacent segments are both closed, and the
+//     live segments number at most 2 × open writers + 1 — bounded by the
+//     consumers on the current input path, not by the buffered output
+//     (StreamStats::segments_peak reports the maximum).
 //   * Append-only accumulating parameters are *rope registers*: per-consumer
-//     byte ropes whose chunks come from the same mark/reset arena as the
-//     consumer records (no refcounting). A program stages the callee's
-//     register file with the kRope* opcodes — appends are packed output
-//     records, a splice is an O(1) chunk-chain move (the compile-time
-//     linearity discipline makes moves safe), and kRopeEmit copies a
-//     register into the output stream. Chunks are drawn from a block
-//     pre-allocated *before* the event's child mark (LoweredProgramRef::
-//     prealloc_bytes bounds it statically), so ropes handed to sibling
+//     chunk chains of the same type, whose chunks come from the same
+//     mark/reset arena as the consumer records (no refcounting). A program
+//     stages the callee's register file with the kRope* opcodes — appends
+//     are packed output records, a splice is an O(1) chunk-chain move (the
+//     compile-time linearity discipline makes moves safe), and kRopeEmit
+//     copies a register into the output stream. Chunks are drawn from a
+//     block pre-allocated *before* the event's child mark (LoweredProgramRef
+//     ::prealloc_bytes bounds it statically), so ropes handed to sibling
 //     continuations survive the subtree reset.
+//   * Peak memory (StreamStats::peak_bytes) counts what the engine holds:
+//     live arena bytes (consumer records, rope chunks, register files) plus
+//     segment headers and whole segment chunk slots in use. Free-list and
+//     arena capacity kept for reuse is not counted. For a copying query the
+//     peak is the packed buffered output plus O(live consumers).
 //   * kBridge instructions execute *hybrid* plans: the site's anchor subtree
 //     is run through a table-machine sub-run (built by the BridgeFactory the
 //     engine was given) whose output lands in a dedicated segment at the
@@ -99,34 +122,108 @@ class OpsEngine {
   std::uint64_t consumers_spawned() const { return spawned_; }
   /// Table-machine sub-runs started for kBridge sites.
   std::uint64_t bridge_runs() const { return bridges_spawned_; }
+  /// Most output segments alive at once.
+  std::size_t segments_peak() const { return segments_peak_; }
 
  private:
-  // A single-writer span of the output stream. `data` buffers packed records
-  // ('S'/'E'/'L' + symbol id, 'T' + length + bytes) until the segment
-  // becomes the chain head; a live head skips the buffer entirely.
-  struct Segment {
-    std::string data;
-    Segment* next = nullptr;
-    bool closed = false;  ///< writer finished; drains when it becomes head
-    bool live = false;    ///< is the open head: writes go straight to sink
-  };
-
-  // One rope-register chunk: a header followed by `cap` payload bytes, all
-  // from the bump arena. Appends never split a packed record across chunks,
-  // so a live-segment emit can replay chunk by chunk.
-  struct RopeChunk {
-    RopeChunk* next;
+  // One chunk of packed records: a header followed by `cap` payload bytes.
+  // A record never straddles two chunks, so every chain replays chunk by
+  // chunk. Rope chunks come from the bump arena, segment chunks from the
+  // segment pool.
+  struct Chunk {
+    Chunk* next;
     std::uint32_t len;
     std::uint32_t cap;
     char* bytes() { return reinterpret_cast<char*>(this + 1); }
     const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
   };
 
-  // A rope register: a chain of chunks. Plain old data — register files are
-  // arena arrays, moved by pointer swap (the linearity discipline).
-  struct Rope {
-    RopeChunk* head = nullptr;
-    RopeChunk* tail = nullptr;
+  // A chain of chunks, kept circular so one pointer serves both ends:
+  // `tail` is the chunk appends go to and tail->next the first chunk. Plain
+  // old data — rope register files are arena arrays of these, moved by
+  // pointer swap (the linearity discipline).
+  struct ChunkChain {
+    Chunk* tail = nullptr;
+
+    bool empty() const { return tail == nullptr; }
+    // Links `c` (len 0 or filled) after the current tail.
+    void Push(Chunk* c) {
+      if (tail == nullptr) {
+        c->next = c;
+      } else {
+        c->next = tail->next;
+        tail->next = c;
+      }
+      tail = c;
+    }
+    // Moves every chunk of `other` onto the end of this chain in O(1).
+    void Splice(ChunkChain* other) {
+      if (other->tail == nullptr) return;
+      if (tail != nullptr) {
+        Chunk* first = tail->next;
+        tail->next = other->tail->next;
+        other->tail->next = first;
+      }
+      tail = other->tail;
+      other->tail = nullptr;
+    }
+  };
+
+  // A rope register: a chain of arena chunks (RopeRoom).
+  using Rope = ChunkChain;
+
+  // A single-writer span of the output stream, in a doubly linked chain
+  // ordered by final output position. The header is 24 bytes: `prev_bits`
+  // holds the predecessor with the closed flag in bit 0 (headers are
+  // 8-aligned). Closed segments have no writer and are merged with closed
+  // neighbours at event end (Coalesce).
+  struct Segment {
+    ChunkChain chain;  ///< buffered records; empty while the segment is live
+    Segment* next;
+    std::uintptr_t prev_bits;
+
+    Segment* prev() const {
+      return reinterpret_cast<Segment*>(prev_bits & ~std::uintptr_t{1});
+    }
+    void set_prev(Segment* p) {
+      prev_bits = reinterpret_cast<std::uintptr_t>(p) | (prev_bits & 1u);
+    }
+    bool closed() const { return (prev_bits & 1u) != 0; }
+  };
+  static_assert(sizeof(Segment) == 24, "segment headers stay 24 bytes");
+
+  // Free-list pool behind segment headers and segment chunks. Chunks come
+  // in power-of-two slot classes (32 B << k, header included, so records up
+  // to 4 GiB - 16 B fit, matching the packed uint32 lengths); slots up to
+  // 64 KiB are carved from shared blocks, larger ones get a block each.
+  // Freed slots go back to their class's list and are reused, never
+  // returned before the engine dies. The tracker is charged for the slots
+  // in use (header bytes plus whole chunk slots), not for free capacity.
+  class SegmentPool {
+   public:
+    explicit SegmentPool(MemoryTracker* tracker) : tracker_(tracker) {}
+    ~SegmentPool() { tracker_->Release(charged_); }
+
+    Segment* NewHeader();
+    void FreeHeader(Segment* s);
+    // A chunk in the smallest class that holds `min_cap` bytes, at least
+    // class `min_class`.
+    Chunk* NewChunk(std::uint32_t min_cap, unsigned min_class);
+    void FreeChain(ChunkChain* chain);
+    static unsigned ClassOf(const Chunk* c);
+
+   private:
+    static constexpr unsigned kSlotClasses = 28;
+
+    void* Carve(std::size_t n);
+
+    MemoryTracker* tracker_;
+    std::vector<std::unique_ptr<char[]>> blocks_;
+    char* cur_ = nullptr;
+    char* end_ = nullptr;
+    Segment* free_headers_ = nullptr;
+    Chunk* free_chunks_[kSlotClasses] = {};
+    std::size_t charged_ = 0;
   };
 
   struct Consumer {
@@ -160,13 +257,13 @@ class OpsEngine {
     }
 
    private:
-    struct Chunk {
+    struct Block {
       std::unique_ptr<char[]> bytes;
       std::size_t size = 0;
     };
 
     MemoryTracker* tracker_;
-    std::vector<Chunk> chunks_;
+    std::vector<Block> chunks_;
     std::size_t chunk_ = 0;  ///< current chunk index
     std::size_t off_ = 0;    ///< bump offset in the current chunk
     std::size_t live_ = 0;   ///< bytes allocated since the outermost reset
@@ -249,22 +346,36 @@ class OpsEngine {
 
   Segment* NewSegment();
   void RecycleSegment(Segment* s);
-  void ChargeAppend(Segment* s, const char* bytes, std::size_t n);
+  void CloseSegment(Segment* s) {
+    s->prev_bits |= 1u;
+    closed_.push_back(s);
+  }
+  // The segment a spawned writer takes at the split point: `cur` itself
+  // when it buffers nothing, else a new one after `cur` (which closes).
   Segment* SplitAfter(Segment* cur);
   Segment* InsertAfter(Segment* prev);
+
+  // Room for an n-byte unit (whole records) at the end of a segment's or a
+  // rope's chain; both go through the one AppendRoom routine in the .cc.
+  char* SegmentRoom(Segment* s, std::uint32_t n);
+  char* RopeRoom(Rope* rope, std::uint32_t n);
 
   void EmitStart(Segment* s, SymbolId sym);
   void EmitEnd(Segment* s, SymbolId sym);
   void EmitTextSym(Segment* s, SymbolId sym);
   void EmitTextBytes(Segment* s, std::string_view text);
-  void ReplayBytes(std::string_view data);
+  // The one replay routine: every record of `chain`, in order, to the sink.
+  void ReplayChain(const ChunkChain& chain);
   void FlushHead();
+  // Merges each segment closed during this event with its closed
+  // neighbours (see the header comment for the invariant).
+  void Coalesce();
+  void Absorb(Segment* into, Segment* from);
 
   // Rope machinery. RopeAlloc serves from the event's pre-mark block when
   // one is armed (element events) and falls back to the arena (text events
   // take no mark, so a direct allocation is lifetime-safe there).
   void* RopeAlloc(std::size_t n);
-  void RopeAppend(Rope* rope, const char* bytes, std::uint32_t n);
   void RopePack(Rope* rope, char tag, std::uint32_t v);
   void RopeEmit(Segment* cur, Rope* rope);
   Rope* MaterializeFile();
@@ -291,11 +402,12 @@ class OpsEngine {
   std::uint32_t events_since_cancel_check_ = 0;
 
   BumpArena arena_;
-  std::vector<std::unique_ptr<Segment>> all_segments_;
-  Segment* free_segments_ = nullptr;
-  std::size_t charged_bytes_ = 0;  ///< tracker balance owed by segments
-
+  SegmentPool pool_;
   Segment* head_ = nullptr;  ///< oldest undrained segment of the chain
+  Segment* live_ = nullptr;  ///< the open head, written through to the sink
+  std::vector<Segment*> closed_;  ///< closed during this event
+  std::size_t live_segments_ = 0;
+  std::size_t segments_peak_ = 0;
   std::vector<Scope> scopes_;
   std::vector<PendingExec> scratch_;
   std::uint64_t skip_depth_ = 0;     ///< open elements with no consumer

@@ -508,8 +508,10 @@ bool NetServer::Impl::ProcessLine(Conn* c, std::string line) {
 bool NetServer::Impl::Deliver(Conn* c, std::uint64_t seq,
                               std::string response) {
   c->ready[seq] = std::move(response);
+  std::size_t delivered = 0;
   for (auto it = c->ready.find(c->next_to_send); it != c->ready.end();
        it = c->ready.find(c->next_to_send)) {
+    delivered += it->second.size();
     c->wbuf += it->second;
     c->ready.erase(it);
     ++c->next_to_send;
@@ -521,7 +523,13 @@ bool NetServer::Impl::Deliver(Conn* c, std::uint64_t seq,
     }
   }
   if (!FlushWrites(c)) return false;
-  if (c->wbuf.size() - c->woff > options.max_write_buffer_bytes) {
+  // The limit is counted against the backlog queued before this delivery
+  // (bytes leave in order, so whatever is unsent beyond the new responses
+  // is older): a client that leaves earlier responses unread is slow, but
+  // one response larger than the limit, read promptly, is not.
+  const std::size_t unsent = c->wbuf.size() - c->woff;
+  const std::size_t older = unsent > delivered ? unsent - delivered : 0;
+  if (older > options.max_write_buffer_bytes) {
     counters.slow_client_closed.fetch_add(1);
     CloseConn(c, /*abort=*/true);
     return false;

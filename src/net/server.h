@@ -37,10 +37,13 @@
 //                responses nobody will read. A half-close (shutdown(WR))
 //                is the opposite contract: pending responses are computed,
 //                delivered, and then the server closes.
-//   slow client  Responses buffer up to max_write_buffer_bytes; reading is
-//                paused (backpressure) at half that, and a client that
-//                still will not drain is disconnected, not buffered into
-//                server memory.
+//   slow client  Reading pauses (backpressure) while more than half of
+//                max_write_buffer_bytes of responses wait to be sent. A
+//                client is disconnected, not buffered into server memory,
+//                when a new response arrives while more than
+//                max_write_buffer_bytes of EARLIER responses are still
+//                unsent; a single response larger than the limit is
+//                delivered in full to a client that reads it.
 //   input size   Request lines are discarded past limits.max_line_bytes
 //                without being buffered; inline "xml" bytes are capped by
 //                the wire layer.
@@ -85,8 +88,9 @@ struct NetServerOptions {
   /// Admitted requests per connection before its reads pause
   /// (backpressure; nothing is rejected, the client just stops being read).
   std::size_t max_inflight_per_conn = 32;
-  /// Buffered response bytes per connection: reads pause at half, the
-  /// connection is dropped (slow_client_closed) at the full limit.
+  /// Buffered response bytes per connection: reads pause at half, and the
+  /// connection is dropped (slow_client_closed) when a response is
+  /// delivered behind more than the full limit of older unsent bytes.
   std::size_t max_write_buffer_bytes = 4u << 20;
   /// Floor for the retry_after_ms hint echoed in overload rejections (the
   /// hint itself scales with queue depth × observed service time once any

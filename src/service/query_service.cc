@@ -14,6 +14,9 @@ StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
   StreamStats out;
   for (const StreamStats& s : per_input) {
     if (s.peak_bytes > out.peak_bytes) out.peak_bytes = s.peak_bytes;
+    if (s.segments_peak > out.segments_peak) {
+      out.segments_peak = s.segments_peak;
+    }
     out.final_bytes += s.final_bytes;
     out.rule_applications += s.rule_applications;
     out.cells_created += s.cells_created;

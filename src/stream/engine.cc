@@ -676,6 +676,7 @@ struct Engine::Impl {
       stats->cells_arena = ops_->consumers_spawned();
       stats->used_ops_engine = true;
       stats->bridge_runs = ops_->bridge_runs();
+      stats->segments_peak = ops_->segments_peak();
       stats->hybrid_plan = lowered_->hybrid;
       stats->output_events = ops_->output_events();
     }

@@ -96,6 +96,9 @@ struct StreamStats {
   /// Input bytes consumed before the first output event: small values mean
   /// genuinely incremental emission.
   std::size_t bytes_in_at_first_output = 0;
+  /// Most output segments the ops engine held at once (0 on the table
+  /// machine). Bounded by the live consumers, not by the document size.
+  std::size_t segments_peak = 0;
 };
 
 /// \brief Reusable mutable run state for streaming one transducer through

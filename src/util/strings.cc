@@ -25,17 +25,28 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+void AppendXmlEscaped(std::string* out, std::string_view s) {
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const char* entity;
+    switch (*p) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      default: continue;
+    }
+    out->append(run, static_cast<std::size_t>(p - run));
+    out->append(entity);
+    run = p + 1;
+  }
+  out->append(run, static_cast<std::size_t>(end - run));
+}
+
 std::string XmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out += c;
-    }
-  }
+  AppendXmlEscaped(&out, s);
   return out;
 }
 

@@ -22,6 +22,10 @@ inline bool StartsWith(std::string_view s, std::string_view prefix) {
 /// XML-escapes text content: & < > (quotes left alone outside attributes).
 std::string XmlEscape(std::string_view s);
 
+/// Appends XmlEscape(s) to `out` in place: the runs between special bytes
+/// are copied whole, so no temporary string is built (output sinks).
+void AppendXmlEscaped(std::string* out, std::string_view s);
+
 /// Size of XmlEscape(s) without building the string (byte accounting in
 /// sinks that never materialize output).
 std::size_t XmlEscapedSize(std::string_view s);

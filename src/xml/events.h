@@ -82,7 +82,9 @@ class StringSink : public OutputSink {
     out_ += name;
     out_ += '>';
   }
-  void Text(std::string_view content) override { out_ += XmlEscape(content); }
+  void Text(std::string_view content) override {
+    AppendXmlEscaped(&out_, content);
+  }
 
   const std::string& str() const { return out_; }
 
@@ -135,7 +137,7 @@ class FileSink : public OutputSink {
     MaybeFlush();
   }
   void Text(std::string_view content) override {
-    buf_ += XmlEscape(content);
+    AppendXmlEscaped(&buf_, content);
     MaybeFlush();
   }
 

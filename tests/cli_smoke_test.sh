@@ -165,13 +165,19 @@ case "$CASE" in
     ;;
   run_engine_ops)
     # Forced lowered engine: byte-identical output, and --stats reports the
-    # engine that actually served plus the arena cell accounting.
+    # engine that actually served, the arena cell accounting, and (last
+    # field) the segment high-water mark, which the table engine leaves 0.
     OUT=$("$XQMFT" run --engine=ops "$QUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
     STATS=$("$XQMFT" run --engine ops --stats "$QUERY" "$XML" 2>&1) \
       || fail "exit $?"
     expect_contains "$STATS" "engine: ops"
     expect_contains "$STATS" "cells refcounted: 0"
+    case "$STATS" in
+      *"segments peak: 0"*) fail "ops run reported no segments: $STATS" ;;
+      *"), segments peak: "[0-9]*) ;;
+      *) fail "expected a trailing segments peak field: $STATS" ;;
+    esac
     # Pinning the table engine flips the report and still matches.
     TOUT=$("$XQMFT" run --engine=table "$QUERY" "$XML") || fail "exit $?"
     test "$TOUT" = "$OUT" || fail "table output differs: $TOUT"
@@ -179,6 +185,7 @@ case "$CASE" in
       || fail "exit $?"
     expect_contains "$TSTATS" "engine: table"
     expect_contains "$TSTATS" "cells arena: 0"
+    expect_contains "$TSTATS" "segments peak: 0"
     # A bogus engine name is a usage error.
     "$XQMFT" run --engine=bogus "$QUERY" "$XML" 2>/dev/null \
       && fail "expected nonzero exit for --engine=bogus"

@@ -567,5 +567,116 @@ TEST(LoweredDifferential, Section21HybridChunkedRefill) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Output segments: pooled chunk chains, coalesced once closed
+
+std::string TreebankDoc(std::size_t bytes) {
+  auto doc = GenerateDatasetString(DatasetKind::kTreebank, bytes, /*seed=*/5);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return doc.value();
+}
+
+const char* const kCopyQueries[] = {"double", "deepdup", "fourstar"};
+
+TEST(OpsSegments, SegmentsPeakDoesNotGrowWithDocumentSize) {
+  // Closed neighbours merge at every event end, so the segments alive at
+  // once are bounded by the open writers (consumers on the current input
+  // path), not by how much output is buffered. Both documents reach the
+  // generator's full depth, so the bound is the same number.
+  const std::string small = TreebankDoc(64 << 10);
+  const std::string large = TreebankDoc(1 << 20);
+  for (const char* id : kCopyQueries) {
+    auto plan = MustCompile(QueryById(id).text);
+    CountingSink small_sink, large_sink;
+    StreamStats small_stats, large_stats;
+    ASSERT_TRUE(plan->StreamString(small, &small_sink, &small_stats).ok());
+    ASSERT_TRUE(plan->StreamString(large, &large_sink, &large_stats).ok());
+    ASSERT_TRUE(large_stats.used_ops_engine) << id;
+    EXPECT_GT(small_stats.segments_peak, 0u) << id;
+    EXPECT_EQ(large_stats.segments_peak, small_stats.segments_peak) << id;
+  }
+}
+
+TEST(OpsSegments, DoublePeakStaysWithinTwiceTheInput) {
+  // `double` buffers its whole second copy while the first streams: the
+  // peak is that copy's packed records, not per-element bookkeeping.
+  const std::string doc = TreebankDoc(1 << 20);
+  auto plan = MustCompile(QueryById("double").text);
+  CountingSink sink;
+  StreamStats stats;
+  ASSERT_TRUE(plan->StreamString(doc, &sink, &stats).ok());
+  EXPECT_GT(stats.peak_bytes, doc.size() / 2);  // the copy is buffered
+  EXPECT_LE(stats.peak_bytes, 2 * doc.size());
+}
+
+TEST(OpsSegments, CopyQueriesMatchTheTableEngineAtEveryChunkSize) {
+  const std::string xml = TreebankDoc(48 << 10);
+  for (const char* id : kCopyQueries) {
+    auto plan = MustCompile(QueryById(id).text);
+    StreamOptions table_opts;
+    table_opts.engine = EngineChoice::kTable;
+    StringSink want;
+    ASSERT_TRUE(
+        StreamTransformString(plan->mft(), xml, &want, table_opts).ok())
+        << id;
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                              std::size_t{64}, std::size_t{4096}}) {
+      StreamOptions ops_opts;
+      ops_opts.engine = EngineChoice::kOps;
+      ChunkedSource source(xml, chunk);
+      StringSink got;
+      StreamStats stats;
+      Status st =
+          StreamTransform(plan->mft(), &source, &got, ops_opts, &stats);
+      ASSERT_TRUE(st.ok()) << id << " chunk=" << chunk << ": "
+                           << st.ToString();
+      EXPECT_TRUE(stats.used_ops_engine) << id;
+      ASSERT_TRUE(got.str() == want.str()) << id << " chunk=" << chunk;
+    }
+  }
+}
+
+TEST(OpsSegments, CancelTripWhileALargeRegionIsBuffered) {
+  // Trip `double` halfway through its live first copy, with the whole
+  // second copy so far sitting in coalesced chains: the sink keeps exactly
+  // the committed prefix, nothing buffered is drained, and tearing the run
+  // down releases every chunk (the asan rerun checks the latter).
+  const std::string doc = TreebankDoc(256 << 10);
+  auto plan = MustCompile(QueryById("double").text);
+  StringSink want;
+  ASSERT_TRUE(plan->StreamString(doc, &want).ok());
+
+  StreamOptions options;
+  options.engine = EngineChoice::kOps;
+  CancelToken token;
+  options.cancel = &token;
+  options.cancel_check_events = 1;
+  StringSink sink;
+  Engine engine(plan->mft(), &sink, options);
+  StringSource source(doc);
+  SaxParser parser(&source, {});
+  parser.BindSymbols(engine.symbols());
+  ASSERT_TRUE(engine.Prime().ok());
+  XmlEvent event;
+  while (sink.str().size() < want.str().size() / 4) {
+    ASSERT_TRUE(parser.Next(&event).ok());
+    ASSERT_NE(event.type, XmlEventType::kEndOfDocument);
+    ASSERT_TRUE(engine.Feed(event).ok());
+  }
+  const std::string committed = sink.str();
+
+  token.Cancel();
+  ASSERT_TRUE(parser.Next(&event).ok());
+  EXPECT_EQ(engine.Feed(event).code(), StatusCode::kCancelled);
+  StreamStats stats;
+  EXPECT_EQ(engine.Finish(&stats).code(), StatusCode::kCancelled);
+  EXPECT_EQ(sink.str(), committed);
+  EXPECT_EQ(want.str().compare(0, committed.size(), committed), 0);
+  EXPECT_TRUE(stats.used_ops_engine);
+  // About as much of the second copy is buffered as the first committed.
+  EXPECT_GT(stats.peak_bytes, committed.size() / 4);
+  EXPECT_GT(stats.segments_peak, 0u);
+}
+
 }  // namespace
 }  // namespace xqmft

@@ -452,8 +452,14 @@ class TestClient {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  static TestClient ConnectTcp(int port) {
+  // `rcvbuf` > 0 pins the client's receive buffer (set before connect, so
+  // the kernel cannot autotune it): a client that never reads then stops
+  // absorbing responses after a few KB.
+  static TestClient ConnectTcp(int port, int rcvbuf = 0) {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -599,7 +605,9 @@ class ServerFixture {
   }
 
   NetServer& server() { return server_; }
-  TestClient Connect() { return TestClient::ConnectTcp(server_.port()); }
+  TestClient Connect(int rcvbuf = 0) {
+    return TestClient::ConnectTcp(server_.port(), rcvbuf);
+  }
 
  private:
   static NetServerOptions PrepareOptions(NetServerOptions options) {
@@ -977,6 +985,95 @@ TEST(NetServerTest, PipelinedResponsesStayInRequestOrder) {
               std::string::npos)
         << "response " << id << " header: " << r.header;
   }
+}
+
+// A file under the test temp dir holding `contents`, removed when the
+// test ends (on failed assertions too).
+struct TempFile {
+  TempFile(const std::string& name, const std::string& contents)
+      : path(testing::TempDir() + "xqmft_net_test_" +
+             std::to_string(::getpid()) + "_" + name) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr) << path;
+    if (f != nullptr) {
+      std::fwrite(contents.data(), 1, contents.size(), f);
+      std::fclose(f);
+    }
+  }
+  ~TempFile() { std::remove(path.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string path;
+};
+
+// One request line running `query` over the file at `path`.
+std::string FileRequest(int id, const std::string& query,
+                        const std::string& path) {
+  std::string line = "{\"id\":" + std::to_string(id) + ",\"query\":";
+  AppendJsonString(&line, query);
+  line += ",\"inputs\":[";
+  AppendJsonString(&line, path);
+  return line + "]}\n";
+}
+
+TEST(NetServerTest, PromptReaderReceivesAResponseLargerThanTheWriteBuffer) {
+  // `double` over a 3 MB TreeBank file answers with more than twice the
+  // input in ONE response: past the default 4 MiB max_write_buffer_bytes,
+  // and far past the 1 MiB used here so that kernel socket buffers (up to
+  // 4 MiB of send buffer, plus a pinned 4 KiB receive buffer) cannot absorb
+  // the excess. A client that reads it must get every byte: the
+  // slow-client limit counts only responses queued before this one.
+  auto doc = GenerateDatasetString(DatasetKind::kTreebank, 3u << 20, 7);
+  ASSERT_TRUE(doc.ok());
+  const TempFile file("double.xml", doc.value());
+  const std::string query = QueryById("double").text;
+  auto plan = CompiledPlan::Compile(query);
+  ASSERT_TRUE(plan.ok());
+  StringSink want;
+  ASSERT_TRUE(plan.value()->StreamFile(file.path, &want).ok());
+  NetServerOptions options;
+  ASSERT_GT(want.str().size(), options.max_write_buffer_bytes);
+  options.max_write_buffer_bytes = 1u << 20;
+
+  ServerFixture fx(std::move(options));
+  TestClient client = fx.Connect(/*rcvbuf=*/4096);
+  ASSERT_TRUE(client.ok());
+  client.Send(FileRequest(1, query, file.path));
+  client.HalfClose();
+  TestClient::WireResponse r;
+  ASSERT_TRUE(client.ReadResponse(&r));
+  EXPECT_NE(r.header.find("\"id\":1,\"ok\":true"), std::string::npos)
+      << r.header;
+  EXPECT_TRUE(r.payload == want.str())
+      << "payload " << r.payload.size() << " B, want " << want.str().size();
+  EXPECT_TRUE(client.ReadAll().empty());
+  EXPECT_EQ(fx.server().counters().slow_client_closed, 0u);
+}
+
+TEST(NetServerTest, ClientLeavingResponsesUnreadIsClosed) {
+  // Sixteen pipelined requests of ~880 KB output each (14 MB in all, well
+  // past what kernel socket buffers absorb) against a 64 KiB write buffer,
+  // from a client that never reads: once the older unsent backlog passes
+  // the limit, the next delivery drops the connection instead of buffering
+  // megabytes for it.
+  const std::string doc = BigDoc(40000);
+  const TempFile file("slow.xml", doc);
+  NetServerOptions options;
+  options.max_write_buffer_bytes = 64u << 10;
+  ServerFixture fx(std::move(options));
+  TestClient client = fx.Connect(/*rcvbuf=*/4096);
+  ASSERT_TRUE(client.ok());
+  std::string requests;
+  for (int id = 1; id <= 16; ++id) {
+    requests += FileRequest(id, kQuery, file.path);
+  }
+  client.Send(requests);
+  ASSERT_TRUE(WaitFor(
+      [&] { return fx.server().counters().slow_client_closed == 1; }, 20000));
+  // The connection is gone: the client reads what was in flight, then EOF
+  // or a reset — never all sixteen responses.
+  EXPECT_LT(client.ReadAll().size(), 16 * doc.size());
 }
 
 // ---------------------------------------------------------------------------

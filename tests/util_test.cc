@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -191,6 +192,21 @@ TEST(StringsTest, XmlEscape) {
 TEST(StringsTest, XmlEscapedSizeMatchesXmlEscape) {
   for (const char* s : {"", "plain", "a<b&c>d", "&&&", "<<>>", "x&amp;y"}) {
     EXPECT_EQ(XmlEscapedSize(s), XmlEscape(s).size()) << s;
+  }
+}
+
+TEST(StringsTest, AppendXmlEscapedAppendsInPlace) {
+  std::string out = "<t>";
+  AppendXmlEscaped(&out, "a<b&c>d");
+  EXPECT_EQ(out, "<t>a&lt;b&amp;c&gt;d");
+  const std::pair<const char*, const char*> kCases[] = {
+      {"", ""},           {"plain", "plain"},
+      {"&", "&amp;"},     {"<<>>", "&lt;&lt;&gt;&gt;"},
+      {"tail&", "tail&amp;"}, {"x&amp;y", "x&amp;amp;y"}};
+  for (const auto& [in, want] : kCases) {
+    std::string got = "#";
+    AppendXmlEscaped(&got, in);
+    EXPECT_EQ(got, std::string("#") + want) << in;
   }
 }
 

@@ -527,7 +527,8 @@ int StreamWith(const CompiledPlan& plan,
                  "bytes in: %zu, output events: %zu, peak memory: %s, "
                  "rule applications: %llu, cells arena: %llu, "
                  "cells refcounted: %llu, exprs created: %llu, "
-                 "bridge runs: %llu, engine: %s, lowered: %s (%s)\n",
+                 "bridge runs: %llu, engine: %s, lowered: %s (%s), "
+                 "segments peak: %zu\n",
                  stats.bytes_in, stats.output_events,
                  HumanBytes(stats.peak_bytes).c_str(),
                  static_cast<unsigned long long>(stats.rule_applications),
@@ -536,7 +537,7 @@ int StreamWith(const CompiledPlan& plan,
                  static_cast<unsigned long long>(stats.exprs_created),
                  static_cast<unsigned long long>(stats.bridge_runs),
                  stats.used_ops_engine ? "ops" : "table",
-                 lowered ? "yes" : "no", why.c_str());
+                 lowered ? "yes" : "no", why.c_str(), stats.segments_peak);
   }
   return 0;
 }
