@@ -13,7 +13,7 @@
 #include "compose/compose.h"
 #include "compose/convert.h"
 #include "compose/mtt.h"
-#include "stream/engine.h"
+#include "core/pipeline.h"
 #include "util/strings.h"
 #include "xml/events.h"
 
@@ -118,20 +118,23 @@ void BenchStreamComposed(benchmark::State& state) {
     }
     composed = std::move(c).value();
   }
-  Mft mft = MttEvalToMft(composed);
-  Status valid = mft.Validate();
-  if (!valid.ok()) {
-    state.SkipWithError(valid.ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::FromMft(MttEvalToMft(composed));
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   int depth = static_cast<int>(state.range(0));
   std::string xml;
   for (int i = 0; i < depth; ++i) xml += "<a>";
   for (int i = 0; i < depth; ++i) xml += "</a>";
+  const std::vector<ParallelInput> inputs = {ParallelInput::XmlText(xml)};
   StreamStats stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = StreamTransformString(mft, xml, &sink, {}, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, {}, &result);
+    stats = result.plans[0].total;
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

@@ -78,42 +78,26 @@ struct LowerConfig {
 };
 
 void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  PipelineOptions options;
+  options.stream.engine = cfg.engine;
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text, options);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
-  StreamOptions options = cq.value()->plan()->options().stream;
-  options.engine = cfg.engine;
+  const std::vector<ParallelInput> inputs = {
+      cfg.pretok ? ParallelInput::PretokFile(cfg.path)
+                 : ParallelInput::XmlFile(cfg.path)};
 
   const bool simd_was = SimdScanEnabled();
   SetSimdScanEnabled(cfg.simd);
   StreamStats stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st;
-    if (cfg.pretok) {
-      Result<std::unique_ptr<PretokSource>> events =
-          PretokSource::OpenFile(cfg.path);
-      if (!events.ok()) {
-        state.SkipWithError(events.status().ToString().c_str());
-        SetSimdScanEnabled(simd_was);
-        return;
-      }
-      st = StreamTransformEvents(cq.value()->mft(), events.value().get(),
-                                 &sink, options, &stats);
-    } else {
-      Result<std::unique_ptr<ByteSource>> source =
-          MmapSource::Open(cfg.path);
-      if (!source.ok()) {
-        state.SkipWithError(source.status().ToString().c_str());
-        SetSimdScanEnabled(simd_was);
-        return;
-      }
-      st = StreamTransform(cq.value()->mft(), source.value().get(), &sink,
-                           options, &stats);
-    }
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, {}, &result);
+    stats = result.plans[0].total;
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       SetSimdScanEnabled(simd_was);

@@ -74,28 +74,27 @@ void BenchMultiQuery(benchmark::State& state, const std::string& path,
   }
   std::vector<const CompiledPlan*> raw;
   for (const auto& p : plans) raw.push_back(p.get());
-  MultiQueryOptions multi;
-  multi.union_projection = projection;
+  RunOptions run;
+  run.union_projection = projection;
+  const std::vector<ParallelInput> inputs = {ParallelInput::XmlFile(path)};
 
-  std::vector<MultiPlanResult> results;
-  MultiQueryStats run_stats;
+  RunResult result;
   for (auto _ : state) {
     std::vector<CountingSink> sinks(n);
     std::vector<OutputSink*> sink_ptrs;
     for (CountingSink& s : sinks) sink_ptrs.push_back(&s);
-    Status st = StreamAllTransformInput(raw, ParallelInput::XmlFile(path),
-                                        sink_ptrs, multi, &results,
-                                        &run_stats);
+    Status st = Run(raw, inputs, sink_ptrs, run, &result);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
   }
   std::size_t peak = 0, out_events = 0;
-  for (const MultiPlanResult& r : results) {
-    if (r.stats.peak_bytes > peak) peak = r.stats.peak_bytes;
-    out_events += r.stats.output_events;
+  for (const RunResult::Plan& p : result.plans) {
+    if (p.total.peak_bytes > peak) peak = p.total.peak_bytes;
+    out_events += p.total.output_events;
   }
+  const MultiQueryStats& run_stats = result.pass;
   state.counters["peak_mem_B"] = static_cast<double>(peak);
   state.counters["out_events"] = static_cast<double>(out_events);
   state.counters["bytes_in"] = static_cast<double>(run_stats.bytes_in);
@@ -117,25 +116,22 @@ void BenchNPass(benchmark::State& state, const std::string& path,
     state.SkipWithError(error.c_str());
     return;
   }
-  std::vector<ParallelInput> one_doc{ParallelInput::XmlFile(path)};
-  ParallelOptions serial;
-  serial.threads = 1;
-  std::vector<StreamStats> stats;
+  const std::vector<ParallelInput> one_doc{ParallelInput::XmlFile(path)};
   std::uint64_t bytes_per_iter = 0;
   std::size_t peak = 0;
   for (auto _ : state) {
     bytes_per_iter = 0;
     for (const auto& plan : plans) {
       CountingSink sink;
-      Status st = plan->StreamMany(one_doc, &sink, serial, &stats);
+      RunResult result;
+      Status st = Run({plan.get()}, one_doc, {&sink}, {}, &result);
       if (!st.ok()) {
         state.SkipWithError(st.ToString().c_str());
         return;
       }
-      for (const StreamStats& s : stats) {
-        bytes_per_iter += s.bytes_in;
-        if (s.peak_bytes > peak) peak = s.peak_bytes;
-      }
+      const StreamStats& s = result.plans[0].total;
+      bytes_per_iter += s.bytes_in;
+      if (s.peak_bytes > peak) peak = s.peak_bytes;
     }
   }
   state.counters["peak_mem_B"] = static_cast<double>(peak);

@@ -63,12 +63,12 @@ void PrintAblationTable() {
     for (const Variant& v : Variants()) {
       PipelineOptions po;
       po.optimizer = v.options;
-      auto cq = CompiledQuery::Compile(bq.text, po);
-      if (!cq.ok()) {
+      auto plan = CompiledPlan::Compile(bq.text, po);
+      if (!plan.ok()) {
         std::printf(" %18s", "error");
         continue;
       }
-      const Mft& m = cq.value()->mft();
+      const Mft& m = plan.value()->mft();
       std::printf(" %6d/%4zu/%6zu", m.num_states(), m.TotalParams(),
                   m.Size());
     }
@@ -86,15 +86,19 @@ void BenchVariant(benchmark::State& state, const BenchQuery& bq,
   }
   PipelineOptions po;
   po.optimize = optimize;
-  auto cq = CompiledQuery::Compile(bq.text, po);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  auto plan = CompiledPlan::Compile(bq.text, po);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  const std::vector<ParallelInput> inputs = {
+      ParallelInput::XmlFile(path.value())};
   StreamStats stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamFile(path.value(), &sink, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, {}, &result);
+    stats = result.plans[0].total;
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

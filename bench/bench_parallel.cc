@@ -124,10 +124,10 @@ void ReportRun(benchmark::State& state, const std::vector<StreamStats>& stats,
 }
 
 void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   std::string item_path = cfg.xml_path;
@@ -142,16 +142,18 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
   std::vector<ParallelInput> inputs(
       cfg.items, pretok ? ParallelInput::PretokFile(item_path)
                         : ParallelInput::XmlFile(item_path));
-  ParallelOptions par;
-  par.threads = cfg.threads;
+  RunOptions run;
+  run.threads = cfg.threads;
   std::vector<StreamStats> stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamMany(inputs, &sink, par, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, run, &result);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
+    stats = std::move(result.plans[0].per_input);
   }
   std::size_t bytes = 0;
   for (const StreamStats& s : stats) bytes += s.bytes_in;
@@ -159,10 +161,10 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
 }
 
 void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   Result<std::string> forest = EnsureForestPretok(cfg.xml_path, cfg.items);
@@ -170,17 +172,21 @@ void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
     state.SkipWithError(forest.status().ToString().c_str());
     return;
   }
-  ParallelOptions par;
-  par.threads = cfg.threads;
+  RunOptions run;
+  run.threads = cfg.threads;
+  run.shards = cfg.items;
+  const std::vector<ParallelInput> inputs = {
+      ParallelInput::PretokFile(forest.value())};
   std::vector<StreamStats> stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamShardedPretokFile(
-        forest.value(), /*shards=*/cfg.items, &sink, par, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, run, &result);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
+    stats = std::move(result.plans[0].per_input);
   }
   std::size_t bytes = 0;
   for (const StreamStats& s : stats) bytes += s.bytes_in;

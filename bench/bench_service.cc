@@ -99,7 +99,7 @@ ServiceRequest RequestFor(const SvcConfig& cfg, const std::string& query) {
   return request;
 }
 
-void BenchStreamMany(benchmark::State& state, const SvcConfig& cfg) {
+void BenchPlanRun(benchmark::State& state, const SvcConfig& cfg) {
   const BenchQuery& bq = QueryById(cfg.query_id);
   auto plan = CompiledPlan::Compile(bq.text);
   if (!plan.ok()) {
@@ -108,18 +108,20 @@ void BenchStreamMany(benchmark::State& state, const SvcConfig& cfg) {
   }
   std::vector<ParallelInput> inputs(cfg.items,
                                     ParallelInput::XmlFile(cfg.xml_path));
-  ParallelOptions par;
-  par.threads = cfg.threads;
-  std::vector<StreamStats> stats;
+  RunOptions run;
+  run.threads = cfg.threads;
+  StreamStats total;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = plan.value()->StreamMany(inputs, &sink, par, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, run, &result);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
+    total = result.plans[0].total;
   }
-  ReportStreamCounters(state, AggregateStreamStats(stats));
+  ReportStreamCounters(state, total);
   state.counters["compile_ms"] = 0.0;
 }
 
@@ -238,7 +240,7 @@ void RegisterAll() {
   benchmark::RegisterBenchmark(
       StrFormat("streammany/%s/xmark_%zuMBx%zu", query_id.c_str(), mb, items)
           .c_str(),
-      [cfg](benchmark::State& st) { BenchStreamMany(st, cfg); })
+      [cfg](benchmark::State& st) { BenchPlanRun(st, cfg); })
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
   benchmark::RegisterBenchmark(

@@ -14,7 +14,6 @@
 #include "util/strings.h"
 #include "xml/events.h"
 #include "xml/sax_parser.h"
-#include "stream/engine.h"
 
 using namespace xqmft;
 
@@ -26,10 +25,10 @@ int main() {
   // Stage 2: select — keep only the names, flattening the rows.
   const char* stage2 = "<names>{$input/catalog/row/name}</names>";
 
-  auto cq1 = std::move(CompiledQuery::Compile(stage1).ValueOrDie());
-  auto cq2 = std::move(CompiledQuery::Compile(stage2).ValueOrDie());
-  const Mft& m1 = cq1->mft();
-  const Mft& m2 = cq2->mft();
+  auto plan1 = CompiledPlan::Compile(stage1).ValueOrDie();
+  auto plan2 = CompiledPlan::Compile(stage2).ValueOrDie();
+  const Mft& m1 = plan1->mft();
+  const Mft& m2 = plan2->mft();
   std::printf("stage 1 optimized to an FT: %s (size %zu)\n",
               m1.IsForestTransducer() ? "yes" : "no", m1.Size());
   std::printf("stage 2 optimized to an FT: %s (size %zu)\n",
@@ -53,15 +52,25 @@ int main() {
 
   // Two-pass pipeline.
   StringSink intermediate;
-  if (!cq1->StreamString(doc, &intermediate).ok()) return 1;
+  if (!Run({plan1.get()}, {ParallelInput::XmlText(doc)}, {&intermediate})
+           .ok()) {
+    return 1;
+  }
   StringSink two_pass;
-  if (!cq2->StreamString(intermediate.str(), &two_pass).ok()) return 1;
+  if (!Run({plan2.get()}, {ParallelInput::XmlText(intermediate.str())},
+           {&two_pass})
+           .ok()) {
+    return 1;
+  }
 
-  // One-pass composed transducer.
+  // One-pass composed transducer, served as a plan like any query.
+  auto composed_plan =
+      CompiledPlan::FromMft(std::move(composed).value()).ValueOrDie();
   StringSink one_pass;
-  StreamStats stats;
-  Status st = StreamTransformString(composed.value(), doc, &one_pass, {},
-                                    &stats);
+  RunResult result;
+  Status st = Run({composed_plan.get()}, {ParallelInput::XmlText(doc)},
+                  {&one_pass}, {}, &result);
+  const StreamStats& stats = result.plans[0].total;
   if (!st.ok()) {
     std::fprintf(stderr, "stream failed: %s\n", st.ToString().c_str());
     return 1;

@@ -20,8 +20,8 @@ int main() {
 
   PipelineOptions raw_options;
   raw_options.optimize = false;
-  auto raw = std::move(CompiledQuery::Compile(query, raw_options).ValueOrDie());
-  auto opt = std::move(CompiledQuery::Compile(query).ValueOrDie());
+  auto raw = CompiledPlan::Compile(query, raw_options).ValueOrDie();
+  auto opt = CompiledPlan::Compile(query).ValueOrDie();
 
   std::printf("translated MFT (unoptimized, %d states, size %zu)\n",
               raw->mft().num_states(), raw->mft().Size());
@@ -43,8 +43,10 @@ int main() {
   };
   for (const char* doc : inputs) {
     StringSink sink;
-    StreamStats stats;
-    Status st = opt->StreamString(doc, &sink, &stats);
+    RunResult result;
+    Status st =
+        Run({opt.get()}, {ParallelInput::XmlText(doc)}, {&sink}, {}, &result);
+    const StreamStats& stats = result.plans[0].total;
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;

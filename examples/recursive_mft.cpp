@@ -10,9 +10,10 @@
 //   2. `toc` — a table of contents: keeps section structure, drops
 //      paragraph content, and numbers nesting by wrapping in <level>.
 #include <cstdio>
+#include <string>
 
+#include "core/pipeline.h"
 #include "mft/mft.h"
-#include "stream/engine.h"
 #include "util/strings.h"
 #include "xml/events.h"
 
@@ -57,16 +58,25 @@ int main() {
                    mft.status().ToString().c_str());
       return 1;
     }
+    const std::string rules = mft.value().ToString();
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompiledPlan::FromMft(std::move(mft).value());
+    if (!plan.ok()) {
+      std::fprintf(stderr, "%s: %s\n", demo.name,
+                   plan.status().ToString().c_str());
+      return 1;
+    }
     StringSink sink;
-    StreamStats stats;
-    Status st = StreamTransformString(mft.value(), demo.input, &sink, {},
-                                      &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, {ParallelInput::XmlText(demo.input)},
+                    {&sink}, {}, &result);
+    const StreamStats& stats = result.plans[0].total;
     if (!st.ok()) {
       std::fprintf(stderr, "%s: %s\n", demo.name, st.ToString().c_str());
       return 1;
     }
     std::printf("%s:\n  rules:\n", demo.name);
-    std::printf("%s", mft.value().ToString().c_str());
+    std::printf("%s", rules.c_str());
     std::printf("  input:  %s\n  output: %s   (peak %s)\n\n", demo.input,
                 sink.str().c_str(), HumanBytes(stats.peak_bytes).c_str());
   }

@@ -66,17 +66,21 @@ void BenchMft(benchmark::State& state, const BenchQuery& bq,
   }
   PipelineOptions options;
   options.optimize = optimize;
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(bq.text, options);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text, options);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  const std::vector<ParallelInput> inputs = {
+      ParallelInput::XmlFile(path.value())};
   StreamStats stats;
   std::size_t out_events = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamFile(path.value(), &sink, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, {}, &result);
+    stats = result.plans[0].total;
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -137,22 +141,21 @@ void BenchMftPretok(benchmark::State& state, const BenchQuery& bq,
     state.SkipWithError(xml_bytes.status().ToString().c_str());
     return;
   }
-  Result<std::unique_ptr<CompiledQuery>> cq = CompiledQuery::Compile(bq.text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  const std::vector<ParallelInput> inputs = {
+      ParallelInput::PretokFile(ptk.value())};
   StreamStats stats;
   std::size_t out_events = 0;
   for (auto _ : state) {
-    Result<std::unique_ptr<PretokSource>> src =
-        PretokSource::OpenFile(ptk.value());
-    if (!src.ok()) {
-      state.SkipWithError(src.status().ToString().c_str());
-      return;
-    }
     CountingSink sink;
-    Status st = cq.value()->StreamEvents(src.value().get(), &sink, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, {}, &result);
+    stats = result.plans[0].total;
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -186,32 +189,28 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
     return;
   }
   std::size_t items = EnvCount("XQMFT_BENCH_FIG4_PAR_ITEMS", 4);
-  ParallelOptions par;
-  par.threads = EnvCount("XQMFT_BENCH_FIG4_PAR_THREADS", 4);
-  Result<std::unique_ptr<CompiledQuery>> cq = CompiledQuery::Compile(bq.text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  RunOptions run;
+  run.threads = EnvCount("XQMFT_BENCH_FIG4_PAR_THREADS", 4);
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   std::vector<ParallelInput> inputs(items,
                                     ParallelInput::XmlFile(path.value()));
-  std::vector<StreamStats> stats;
   std::size_t bytes_in = 0, out_events = 0, peak = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamMany(inputs, &sink, par, &stats);
+    RunResult result;
+    Status st = Run({plan.value().get()}, inputs, {&sink}, run, &result);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
-    bytes_in = 0;
-    out_events = 0;
-    peak = 0;
-    for (const StreamStats& s : stats) {
-      bytes_in += s.bytes_in;
-      out_events += s.output_events;
-      if (s.peak_bytes > peak) peak = s.peak_bytes;
-    }
+    bytes_in = result.plans[0].total.bytes_in;
+    out_events = result.plans[0].total.output_events;
+    peak = result.plans[0].total.peak_bytes;
   }
   // Peak is the max *engine-tracked* peak over the items (per-engine peaks
   // need not coincide). It deliberately excludes the merge layer's staged
@@ -221,7 +220,7 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
   state.counters["peak_mem_B"] = static_cast<double>(peak);
   state.counters["out_events"] = static_cast<double>(out_events);
   state.counters["bytes_in"] = static_cast<double>(bytes_in);
-  state.counters["threads"] = static_cast<double>(par.threads);
+  state.counters["threads"] = static_cast<double>(run.threads);
   state.counters["items"] = static_cast<double>(items);
   state.SetBytesProcessed(
       static_cast<int64_t>(bytes_in * state.iterations()));

@@ -1,11 +1,14 @@
 #include "core/pipeline.h"
 
+#include <deque>
 #include <limits>
+#include <utility>
 
 #include "lower/lower.h"
 #include "mft/dispatch.h"
 #include "mft/interp.h"
 #include "parallel/pretok_split.h"
+#include "parallel/sharded_executor.h"
 #include "translate/translate.h"
 #include "xml/pretok.h"
 #include "xml/sax_parser.h"
@@ -15,8 +18,7 @@ namespace xqmft {
 namespace {
 
 // A pretok stream tokenized under different SAX options replays different
-// events; parallel runs check before handing a source to an engine, like the
-// CLI does for --pretok-cache.
+// events; runs check before handing a source to an engine.
 Status CheckPretokOptions(SaxOptions declared, SaxOptions expected,
                           const std::string& what) {
   if (!SameTokenization(declared, expected)) {
@@ -35,14 +37,13 @@ Status FinishPlan(const Mft& mft, const PipelineOptions& options) {
   if (options.stream.validator != nullptr) {
     return Status::InvalidArgument(
         "a schema validator is per-run mutable state and cannot be baked "
-        "into an immutable CompiledPlan; stream with per-run options via "
-        "StreamTransform instead");
+        "into an immutable CompiledPlan; pass it per run via RunOptions "
+        "instead");
   }
   if (options.stream.cancel != nullptr) {
     return Status::InvalidArgument(
         "a cancel token is per-request state and cannot be baked into an "
-        "immutable CompiledPlan; pass it per run via ParallelOptions / "
-        "MultiQueryOptions or per-run StreamOptions instead");
+        "immutable CompiledPlan; pass it per run via RunOptions instead");
   }
   XQMFT_RETURN_NOT_OK(mft.Validate());
   mft.dispatch();  // compile-once: warm before the plan is shareable
@@ -103,321 +104,330 @@ std::size_t CompiledPlan::ApproxBytes() const {
   return bytes;
 }
 
-Status CompiledPlan::Stream(ByteSource* source, OutputSink* sink,
-                            StreamStats* stats, StreamScratch* scratch) const {
-  return StreamTransform(mft_, source, sink, options_.stream, stats, scratch);
-}
-
-Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
-                                StreamStats* stats,
-                                StreamScratch* scratch) const {
-  // mmap when available: the parser scans the mapping in place and file
-  // input pays no stdio copy.
-  XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                         MmapSource::Open(path));
-  return Stream(src.get(), sink, stats, scratch);
-}
-
-Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
-                                  StreamStats* stats,
-                                  StreamScratch* scratch) const {
-  return StreamTransformEvents(mft_, events, sink, options_.stream, stats,
-                               scratch);
-}
-
-Status CompiledPlan::StreamString(const std::string& xml, OutputSink* sink,
-                                  StreamStats* stats,
-                                  StreamScratch* scratch) const {
-  StringSource src(xml);
-  return Stream(&src, sink, stats, scratch);
-}
-
-Status StreamManyTransform(const CompiledPlan& plan,
-                           const std::vector<ParallelInput>& inputs,
-                           OutputSink* sink, const ParallelOptions& par,
-                           std::vector<StreamStats>* stats) {
-  const Mft& mft = plan.mft();
-  // Per-run copy of the plan's baked options: the request's cancel token
-  // (never baked — FinishPlan rejects it) rides in via ParallelOptions and
-  // reaches every worker engine of the fan-out.
-  StreamOptions stream = plan.options().stream;
-  if (par.cancel != nullptr) stream.cancel = par.cancel;
-  if (stats != nullptr) {
-    stats->assign(inputs.size(), StreamStats{});
-  }
-  // No warm-up call needed here: a CompiledPlan's dispatch was compiled
-  // before the plan could be shared, so worker engines below can only ever
-  // read it.
-  auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
-    const ParallelInput& input = inputs[i];
-    StreamStats* item_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    switch (input.kind) {
-      case ParallelInput::Kind::kXmlFile: {
-        XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                               MmapSource::Open(input.value));
-        return StreamTransform(mft, src.get(), item_sink, stream, item_stats);
-      }
-      case ParallelInput::Kind::kPretokFile: {
-        XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
-                               PretokSource::OpenFile(input.value));
-        XQMFT_RETURN_NOT_OK(CheckPretokOptions(src->declared_options(),
-                                               stream.sax, input.value));
-        return StreamTransformEvents(mft, src.get(), item_sink, stream,
-                                     item_stats);
-      }
-      case ParallelInput::Kind::kXmlText: {
-        StringSource src(input.value);
-        return StreamTransform(mft, &src, item_sink, stream, item_stats);
-      }
-      case ParallelInput::Kind::kPretokBytes: {
-        PretokSource src(input.value);
-        if (src.header_ok()) {
-          XQMFT_RETURN_NOT_OK(CheckPretokOptions(src.declared_options(),
-                                                 stream.sax, "(in-memory)"));
-        }
-        return StreamTransformEvents(mft, &src, item_sink, stream,
-                                     item_stats);
-      }
-    }
-    return Status::Internal("unknown ParallelInput kind");
-  };
-  return ShardedExecutor::Run(inputs.size(), item, sink, par);
-}
-
-Status StreamShardedPretokTransform(const CompiledPlan& plan,
-                                    std::string_view pretok,
-                                    std::size_t shards, OutputSink* sink,
-                                    const ParallelOptions& par,
-                                    std::vector<StreamStats>* stats) {
-  const Mft& mft = plan.mft();
-  StreamOptions stream = plan.options().stream;
-  if (par.cancel != nullptr) stream.cancel = par.cancel;
-  if (shards == 0) {
-    // Default: split at every top-level forest boundary (the splitter
-    // clamps to the tree count). Deliberately NOT the worker count — on a
-    // multi-tree forest the shard decomposition shapes the output (each
-    // shard evaluates as its own document), so deriving it from
-    // hardware_concurrency would make identical commands produce different
-    // output on different machines. Finest-grain splitting is
-    // input-deterministic and gives the scheduler the most parallelism;
-    // threads only affect timing, never bytes.
-    shards = std::numeric_limits<std::size_t>::max();
-  }
-  XQMFT_ASSIGN_OR_RETURN(PretokShardPlan shard_plan,
-                         PlanPretokShards(pretok, shards));
-  XQMFT_RETURN_NOT_OK(
-      CheckPretokOptions(shard_plan.declared, stream.sax, "(sharded)"));
-  if (stats != nullptr) {
-    stats->assign(shard_plan.shards.size(), StreamStats{});
-  }
-  auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
-    PretokShardSource src(&shard_plan, i);
-    return StreamTransformEvents(mft, &src, item_sink, stream,
-                                 stats != nullptr ? &(*stats)[i] : nullptr);
-  };
-  return ShardedExecutor::Run(shard_plan.shards.size(), item, sink, par);
-}
-
-Status StreamShardedPretokFileTransform(const CompiledPlan& plan,
-                                        const std::string& path,
-                                        std::size_t shards, OutputSink* sink,
-                                        const ParallelOptions& par,
-                                        std::vector<StreamStats>* stats) {
-  XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> backing,
-                         MmapSource::Open(path));
-  std::string_view contents;
-  std::string owned;
-  if (!backing->Contents(&contents)) {
-    // No stable mapping (exotic platform): read the file whole.
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = backing->Read(buf, sizeof buf)) > 0) owned.append(buf, n);
-    contents = owned;
-  }
-  return StreamShardedPretokTransform(plan, contents, shards, sink, par,
-                                      stats);
-}
-
 namespace {
 
-Status BuildMultiSpecs(const std::vector<const CompiledPlan*>& plans,
-                       const std::vector<OutputSink*>& sinks,
-                       std::vector<MultiPlanSpec>* specs) {
+// An input opened for one pass: the event source the pass reads and
+// whatever backs it.
+struct OpenedInput {
+  std::unique_ptr<ByteSource> bytes;   // mapping or view of a text input
+  std::unique_ptr<EventSource> owned;  // parser, pretok or shard reader
+  PretokSource* pretok = nullptr;      // pretok kinds: sharding reads it
+  EventSource* events = nullptr;
+};
+
+// The one switch over input kinds. A pretok stream tokenized under other SAX
+// options would replay different events, so it is rejected here.
+Status OpenInput(const ParallelInput& in, const SaxOptions& sax,
+                 OpenedInput* out) {
+  ByteSource* text = nullptr;
+  switch (in.kind) {
+    case ParallelInput::Kind::kXmlFile: {
+      // mmap when available: the parser scans the mapping in place and file
+      // input pays no stdio copy.
+      XQMFT_ASSIGN_OR_RETURN(out->bytes, MmapSource::Open(in.value));
+      text = out->bytes.get();
+      break;
+    }
+    case ParallelInput::Kind::kXmlText:
+      out->bytes = std::make_unique<StringSource>(in.value);
+      text = out->bytes.get();
+      break;
+    case ParallelInput::Kind::kByteSource:
+      text = in.bytes;
+      if (text == nullptr) {
+        return Status::InvalidArgument("run input has a null byte source");
+      }
+      break;
+    case ParallelInput::Kind::kPretokFile: {
+      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
+                             PretokSource::OpenFile(in.value));
+      XQMFT_RETURN_NOT_OK(
+          CheckPretokOptions(src->declared_options(), sax, in.value));
+      out->pretok = src.get();
+      out->owned = std::move(src);
+      break;
+    }
+    case ParallelInput::Kind::kPretokBytes: {
+      auto src = std::make_unique<PretokSource>(in.value);
+      if (src->header_ok()) {
+        XQMFT_RETURN_NOT_OK(
+            CheckPretokOptions(src->declared_options(), sax, "(in-memory)"));
+      }
+      out->pretok = src.get();
+      out->owned = std::move(src);
+      break;
+    }
+    case ParallelInput::Kind::kEventSource:
+      if (in.events == nullptr) {
+        return Status::InvalidArgument("run input has a null event source");
+      }
+      out->events = in.events;
+      return Status::OK();
+  }
+  if (text != nullptr) out->owned = std::make_unique<SaxParser>(text, sax);
+  out->events = out->owned.get();
+  return Status::OK();
+}
+
+// The token plan `i`'s engine polls: its own member token, else the run's.
+const CancelToken* CancelFor(const RunOptions& options, std::size_t i) {
+  if (i < options.per_plan_cancel.size() &&
+      options.per_plan_cancel[i] != nullptr) {
+    return options.per_plan_cancel[i];
+  }
+  return options.cancel;
+}
+
+// One shared pass of `plans` over `events` through MultiQueryRun, the one
+// loop that feeds engines. `ids` names each plan's index in the run (for its
+// cancel token). Per-plan outcomes land in `results`.
+void Pass(const std::vector<const CompiledPlan*>& plans,
+          const std::vector<OutputSink*>& sinks,
+          const std::vector<std::size_t>& ids, EventSource* events,
+          const RunOptions& options, std::vector<MultiPlanResult>* results,
+          MultiQueryStats* stats) {
+  std::vector<MultiPlanSpec> specs(plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    specs[i].mft = &plans[i]->mft();
+    specs[i].projection = &plans[i]->projection();
+    specs[i].options = plans[i]->options().stream;
+    specs[i].options.cancel = CancelFor(options, ids[i]);
+    specs[i].options.validator = options.validator;
+    specs[i].sink = sinks[i];
+  }
+  MultiQueryRun run(std::move(specs), options.union_projection,
+                    options.cancel);
+  run.Run(events);  // source errors also land in the per-plan results
+  *results = run.results();
+  *stats = run.stats();
+}
+
+void AddPass(const MultiQueryStats& pass, MultiQueryStats* total) {
+  total->events_total += pass.events_total;
+  total->events_skipped += pass.events_skipped;
+  total->bytes_in += pass.bytes_in;
+  total->projection_enabled =
+      total->projection_enabled || pass.projection_enabled;
+}
+
+Status CheckRun(const std::vector<const CompiledPlan*>& plans,
+                const std::vector<ParallelInput>& inputs,
+                const std::vector<OutputSink*>& sinks,
+                const RunOptions& options) {
   if (plans.empty()) {
-    return Status::InvalidArgument("multi-query run needs at least one plan");
+    return Status::InvalidArgument("a run needs at least one plan");
   }
   if (plans.size() != sinks.size()) {
-    return Status::InvalidArgument(
-        "multi-query run needs exactly one sink per plan");
+    return Status::InvalidArgument("a run needs exactly one sink per plan");
   }
-  specs->reserve(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
     if (plans[i] == nullptr || sinks[i] == nullptr) {
-      return Status::InvalidArgument("multi-query plan or sink is null");
+      return Status::InvalidArgument("run plan or sink is null");
     }
-    MultiPlanSpec spec;
-    spec.mft = &plans[i]->mft();
-    spec.projection = &plans[i]->projection();
-    spec.options = plans[i]->options().stream;
-    spec.sink = sinks[i];
-    specs->push_back(spec);
+  }
+  if (plans.size() > 1 && (options.threads != 1 || options.shards != 1)) {
+    return Status::InvalidArgument(
+        "threads and shards cannot combine with several plans: a "
+        "multi-query run is serial per document (sharding it is future "
+        "work)");
+  }
+  if (options.validator != nullptr &&
+      (plans.size() > 1 || inputs.size() != 1 || options.shards != 1)) {
+    return Status::InvalidArgument(
+        "schema validation is per-run stateful: it needs one plan over one "
+        "unsharded input");
   }
   return Status::OK();
 }
 
-// Shared tail: copy out per-plan results / run stats and fold plan failures
-// into the returned Status per the contract documented in pipeline.h.
-Status FinishMultiRun(const MultiQueryRun& run, Status run_status,
-                      std::vector<MultiPlanResult>* results,
-                      MultiQueryStats* run_stats) {
-  if (run_stats != nullptr) *run_stats = run.stats();
-  if (results != nullptr) *results = run.results();
-  if (!run_status.ok()) return run_status;
-  Status first_failure;
-  std::size_t failed = 0;
-  for (const MultiPlanResult& r : run.results()) {
-    if (!r.status.ok()) {
-      if (first_failure.ok()) first_failure = r.status;
-      ++failed;
+// One plan: every input (or every shard of a pretok input) is a work item
+// fanned across the sharded executor with ordered merge.
+Status RunOnePlan(const CompiledPlan& plan,
+                  const std::vector<ParallelInput>& inputs, OutputSink* sink,
+                  const RunOptions& options, RunResult* r) {
+  const SaxOptions& sax = plan.options().stream.sax;
+  struct Item {
+    std::size_t input;
+    const PretokShardPlan* split;  // null: the whole input
+    std::size_t shard;
+  };
+  std::deque<OpenedInput> split_inputs;  // stable: shard plans view them
+  std::deque<PretokShardPlan> splits;
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const ParallelInput::Kind kind = inputs[i].kind;
+    if (options.shards == 1 || (kind != ParallelInput::Kind::kPretokFile &&
+                                kind != ParallelInput::Kind::kPretokBytes)) {
+      items.push_back({i, nullptr, 0});
+      continue;
+    }
+    OpenedInput& opened = split_inputs.emplace_back();
+    XQMFT_RETURN_NOT_OK(OpenInput(inputs[i], sax, &opened));
+    // shards == 0 splits at every top-level forest boundary (the splitter
+    // clamps to the tree count). Deliberately NOT the worker count: on a
+    // multi-tree forest the decomposition shapes the output, so deriving it
+    // from the machine would make identical commands print different bytes.
+    XQMFT_ASSIGN_OR_RETURN(
+        PretokShardPlan split,
+        PlanPretokShards(opened.pretok->data(),
+                         options.shards == 0
+                             ? std::numeric_limits<std::size_t>::max()
+                             : options.shards));
+    XQMFT_RETURN_NOT_OK(CheckPretokOptions(split.declared, sax, "(sharded)"));
+    splits.push_back(std::move(split));
+    for (std::size_t s = 0; s < splits.back().shards.size(); ++s) {
+      items.push_back({i, &splits.back(), s});
     }
   }
-  if (!first_failure.ok() &&
-      (results == nullptr || failed == run.results().size())) {
-    return first_failure;
+
+  std::vector<MultiPlanResult> item_results(items.size());
+  std::vector<MultiQueryStats> item_passes(items.size());
+  std::vector<char> ran(items.size(), 0);
+  auto item = [&](std::size_t k, OutputSink* item_sink) -> Status {
+    ran[k] = 1;
+    OpenedInput opened;
+    if (items[k].split != nullptr) {
+      opened.owned =
+          std::make_unique<PretokShardSource>(items[k].split, items[k].shard);
+      opened.events = opened.owned.get();
+    } else {
+      XQMFT_RETURN_NOT_OK(OpenInput(inputs[items[k].input], sax, &opened));
+    }
+    std::vector<MultiPlanResult> results;
+    Pass({&plan}, {item_sink}, {0}, opened.events, options, &results,
+         &item_passes[k]);
+    item_results[k] = std::move(results[0]);
+    return item_results[k].status;
+  };
+  RunResult::Plan& out = r->plans[0];
+  out.status = ShardedExecutor::Run(items.size(), item, sink, options.threads);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    out.per_input.push_back(item_results[k].stats);
+    out.events_fed += item_results[k].events_fed;
+    AddPass(item_passes[k], &r->pass);
+    r->documents += ran[k];
   }
   return Status::OK();
+}
+
+// Several plans: each input is tokenized once and feeds every plan still
+// live; a plan that failed on an earlier input is not fed later ones.
+void RunPlans(const std::vector<const CompiledPlan*>& plans,
+              const std::vector<ParallelInput>& inputs,
+              const std::vector<OutputSink*>& sinks, const RunOptions& options,
+              RunResult* r) {
+  const SaxOptions& sax = plans.front()->options().stream.sax;
+  for (const ParallelInput& input : inputs) {
+    std::vector<const CompiledPlan*> live_plans;
+    std::vector<OutputSink*> live_sinks;
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      if (!r->plans[i].status.ok()) continue;
+      live_plans.push_back(plans[i]);
+      live_sinks.push_back(sinks[i]);
+      live.push_back(i);
+    }
+    if (live.empty()) return;
+    ++r->documents;
+    OpenedInput opened;
+    Status st = OpenInput(input, sax, &opened);
+    std::vector<MultiPlanResult> results;
+    if (st.ok()) {
+      MultiQueryStats pass;
+      Pass(live_plans, live_sinks, live, opened.events, options, &results,
+           &pass);
+      AddPass(pass, &r->pass);
+    }
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      RunResult::Plan& p = r->plans[live[k]];
+      if (!st.ok()) {
+        p.status = st;
+        continue;
+      }
+      p.status = results[k].status;
+      p.per_input.push_back(results[k].stats);
+      p.events_fed += results[k].events_fed;
+    }
+  }
+}
+
+StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
+  if (per_input.size() == 1) return per_input.front();
+  StreamStats out;
+  for (const StreamStats& s : per_input) {
+    if (s.peak_bytes > out.peak_bytes) out.peak_bytes = s.peak_bytes;
+    if (s.segments_peak > out.segments_peak) {
+      out.segments_peak = s.segments_peak;
+    }
+    out.final_bytes += s.final_bytes;
+    out.rule_applications += s.rule_applications;
+    out.cells_created += s.cells_created;
+    out.cells_arena += s.cells_arena;
+    out.exprs_created += s.exprs_created;
+    out.bytes_in += s.bytes_in;
+    out.output_events += s.output_events;
+    out.used_ops_engine = out.used_ops_engine || s.used_ops_engine;
+    out.bridge_runs += s.bridge_runs;
+    out.hybrid_plan = out.hybrid_plan || s.hybrid_plan;
+  }
+  return out;
+}
+
+// Run over one input for one plan, for the one-plan shorthands.
+Status RunOne(const CompiledPlan& plan, ParallelInput input, OutputSink* sink,
+              StreamStats* stats) {
+  RunResult result;
+  Status st = Run({&plan}, {std::move(input)}, {sink}, {}, &result);
+  if (stats != nullptr) *stats = result.plans[0].total;
+  return st;
 }
 
 }  // namespace
 
-Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
-                          ByteSource* source,
-                          const std::vector<OutputSink*>& sinks,
-                          const MultiQueryOptions& options,
-                          std::vector<MultiPlanResult>* results,
-                          MultiQueryStats* run_stats) {
-  std::vector<MultiPlanSpec> specs;
-  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, &specs));
-  const SaxOptions sax = plans.front()->options().stream.sax;
-  MultiQueryRun run(std::move(specs), options);
-  Status st = run.RunSource(source, sax);
-  return FinishMultiRun(run, st, results, run_stats);
-}
-
-Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
-                                EventSource* events,
-                                const std::vector<OutputSink*>& sinks,
-                                const MultiQueryOptions& options,
-                                std::vector<MultiPlanResult>* results,
-                                MultiQueryStats* run_stats) {
-  std::vector<MultiPlanSpec> specs;
-  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, &specs));
-  MultiQueryRun run(std::move(specs), options);
-  Status st = run.Run(events);
-  return FinishMultiRun(run, st, results, run_stats);
-}
-
-Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
-                               const ParallelInput& input,
-                               const std::vector<OutputSink*>& sinks,
-                               const MultiQueryOptions& options,
-                               std::vector<MultiPlanResult>* results,
-                               MultiQueryStats* run_stats) {
-  if (plans.empty() || plans.front() == nullptr) {
-    return Status::InvalidArgument("multi-query run needs at least one plan");
-  }
-  const SaxOptions sax = plans.front()->options().stream.sax;
-  switch (input.kind) {
-    case ParallelInput::Kind::kXmlFile: {
-      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                             MmapSource::Open(input.value));
-      return StreamAllTransform(plans, src.get(), sinks, options, results,
-                                run_stats);
-    }
-    case ParallelInput::Kind::kPretokFile: {
-      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
-                             PretokSource::OpenFile(input.value));
-      XQMFT_RETURN_NOT_OK(
-          CheckPretokOptions(src->declared_options(), sax, input.value));
-      return StreamAllTransformEvents(plans, src.get(), sinks, options,
-                                      results, run_stats);
-    }
-    case ParallelInput::Kind::kXmlText: {
-      StringSource src(input.value);
-      return StreamAllTransform(plans, &src, sinks, options, results,
-                                run_stats);
-    }
-    case ParallelInput::Kind::kPretokBytes: {
-      PretokSource src(input.value);
-      if (src.header_ok()) {
-        XQMFT_RETURN_NOT_OK(
-            CheckPretokOptions(src.declared_options(), sax, "(in-memory)"));
-      }
-      return StreamAllTransformEvents(plans, &src, sinks, options, results,
-                                      run_stats);
+Status Run(const std::vector<const CompiledPlan*>& plans,
+           const std::vector<ParallelInput>& inputs,
+           const std::vector<OutputSink*>& sinks, const RunOptions& options,
+           RunResult* result) {
+  RunResult local;
+  RunResult* r = result != nullptr ? result : &local;
+  *r = RunResult{};
+  r->plans.resize(plans.size());
+  Status setup = CheckRun(plans, inputs, sinks, options);
+  if (setup.ok()) {
+    if (plans.size() == 1) {
+      setup = RunOnePlan(*plans[0], inputs, sinks[0], options, r);
+    } else {
+      RunPlans(plans, inputs, sinks, options, r);
     }
   }
-  return Status::Internal("unknown ParallelInput kind");
+  if (!setup.ok()) {
+    for (RunResult::Plan& p : r->plans) p.status = setup;
+    return setup;
+  }
+  Status first_failure;
+  std::size_t failed = 0;
+  for (RunResult::Plan& p : r->plans) {
+    p.total = AggregateStreamStats(p.per_input);
+    if (p.status.ok()) continue;
+    if (first_failure.ok()) first_failure = p.status;
+    ++failed;
+  }
+  if (result == nullptr || failed == plans.size()) return first_failure;
+  return Status::OK();
 }
 
-Status CompiledPlan::StreamMany(const std::vector<ParallelInput>& inputs,
-                                OutputSink* sink, const ParallelOptions& par,
-                                std::vector<StreamStats>* stats) const {
-  return StreamManyTransform(*this, inputs, sink, par, stats);
+Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
+                                StreamStats* stats) const {
+  return RunOne(*this, ParallelInput::XmlFile(path), sink, stats);
 }
 
-Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
-                                         std::size_t shards, OutputSink* sink,
-                                         const ParallelOptions& par,
-                                         std::vector<StreamStats>* stats)
-    const {
-  return StreamShardedPretokTransform(*this, pretok, shards, sink, par,
-                                      stats);
-}
-
-Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
-                                             std::size_t shards,
-                                             OutputSink* sink,
-                                             const ParallelOptions& par,
-                                             std::vector<StreamStats>* stats)
-    const {
-  return StreamShardedPretokFileTransform(*this, path, shards, sink, par,
-                                          stats);
+Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
+                                  StreamStats* stats) const {
+  return RunOne(*this, ParallelInput::Events(events), sink, stats);
 }
 
 Result<Forest> CompiledPlan::Evaluate(const Forest& input) const {
   return RunMft(mft_, input);
-}
-
-QueryRun::QueryRun(std::shared_ptr<const CompiledPlan> plan)
-    : plan_(std::move(plan)), scratch_(plan_->mft()) {}
-
-Status QueryRun::Stream(ByteSource* source, OutputSink* sink,
-                        StreamStats* stats) {
-  return plan_->Stream(source, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamFile(const std::string& path, OutputSink* sink,
-                            StreamStats* stats) {
-  return plan_->StreamFile(path, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamString(const std::string& xml, OutputSink* sink,
-                              StreamStats* stats) {
-  return plan_->StreamString(xml, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamEvents(EventSource* events, OutputSink* sink,
-                              StreamStats* stats) {
-  return plan_->StreamEvents(events, sink, stats, &scratch_);
-}
-
-Result<std::unique_ptr<CompiledQuery>> CompiledQuery::Compile(
-    const std::string& query_text, PipelineOptions options) {
-  std::unique_ptr<CompiledQuery> cq(new CompiledQuery());
-  XQMFT_ASSIGN_OR_RETURN(cq->plan_,
-                         CompiledPlan::Compile(query_text, options));
-  return cq;
 }
 
 }  // namespace xqmft

@@ -1,4 +1,5 @@
-// Public facade: the paper's full pipeline in one object.
+// Public facade: the paper's full pipeline behind one compiled artifact and
+// one run entry point.
 //
 //   MinXQuery text --parse--> AST --T,F (Section 3)--> MFT
 //                  --optimize (Section 4.1)--> streaming-friendly MFT
@@ -7,39 +8,45 @@
 // The compiled artifact is split along the serving boundary the paper's
 // pitch implies (translate once, stream arbitrarily many documents):
 //
-//   CompiledPlan  — immutable and shareable: the parsed query, the
-//                   translated and optimized MFT with its rule dispatch
-//                   fully compiled and its base SymbolTable interned at
-//                   build time. Safe to share read-only across any number
-//                   of concurrent runs and threads; what a query cache
-//                   hands out.
-//   QueryRun      — cheap mutable per-run state bound to one plan: the
-//                   run-local symbol-table snapshot and the slab arenas,
-//                   reusable across consecutive documents of a serving
-//                   loop. Single-threaded; make one per worker.
-//   CompiledQuery — thin convenience wrapper owning a shared plan; the
-//                   one-query one-caller API the examples and the CLI use.
+//   CompiledPlan — immutable and shareable: the parsed query, the
+//                  translated and optimized MFT with its rule dispatch
+//                  fully compiled and its base SymbolTable interned at
+//                  build time. Safe to share read-only across any number
+//                  of concurrent runs and threads; what a query cache
+//                  hands out.
+//   Run          — every streaming run: plans x inputs -> sinks. One plan
+//                  over many inputs (or over the shards of a pretok input)
+//                  fans out across worker threads with an ordered merge;
+//                  several plans share one tokenization per input. Either
+//                  way each document streams through MultiQueryRun, the one
+//                  loop that feeds engines, under the union of the plans'
+//                  source projections.
 //
 // Typical use:
 //
-//   auto cq = CompiledQuery::Compile("<out>{$input//a}</out>");
+//   auto plan = CompiledPlan::Compile("<out>{$input//a}</out>");
 //   StringSink sink;
-//   cq.value()->StreamFile("input.xml", &sink);
+//   Status st = Run({plan.value().get()},
+//                   {ParallelInput::XmlFile("input.xml")}, {&sink});
 #ifndef XQMFT_CORE_PIPELINE_H_
 #define XQMFT_CORE_PIPELINE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "mft/mft.h"
 #include "mft/optimize.h"
 #include "multiquery/multi_run.h"
-#include "parallel/sharded_executor.h"
+#include "multiquery/projection.h"
 #include "stream/engine.h"
+#include "util/cancel.h"
 #include "util/status.h"
+#include "xml/event_source.h"
 #include "xml/forest.h"
+#include "xml/sax_parser.h"
 #include "xquery/ast.h"
 
 namespace xqmft {
@@ -50,28 +57,33 @@ struct PipelineOptions {
   /// curves); disable only for measurement.
   bool optimize = true;
   OptimizeOptions optimizer;
-  /// Streaming defaults baked into the plan. stream.validator must be null:
-  /// a schema validator is per-run stateful and would be mutable state
-  /// reachable from every concurrent run of a shared plan — validated runs
-  /// go through the free StreamTransform with per-run options instead.
+  /// Streaming defaults baked into the plan. stream.validator and
+  /// stream.cancel must be null: both are per-run mutable state that would
+  /// be reachable from every concurrent run of a shared plan — pass them per
+  /// run through RunOptions instead.
   StreamOptions stream;
 };
 
-/// \brief One document of a parallel workload (see CompiledPlan::StreamMany).
+/// \brief One input document of a run (see Run).
 ///
-/// The in-memory kinds let tests and embedders shard without touching the
-/// filesystem; `value` is a path for the file kinds and the raw bytes
-/// otherwise.
+/// The file and in-memory kinds are opened by the run; `value` is a path for
+/// the file kinds and the raw bytes otherwise. The two borrowed kinds stream
+/// a caller-owned source (stdin, a chunked test source, a fault-injecting
+/// wrapper), which must outlive the run and is read exactly once.
 struct ParallelInput {
   enum class Kind {
     kXmlFile,      ///< text XML file (memory-mapped when possible)
     kPretokFile,   ///< pretok event cache file
     kXmlText,      ///< in-memory text XML
     kPretokBytes,  ///< in-memory pretok event stream
+    kByteSource,   ///< borrowed text XML byte source
+    kEventSource,  ///< borrowed, already-tokenized event source
   };
 
   Kind kind = Kind::kXmlFile;
   std::string value;
+  ByteSource* bytes = nullptr;    ///< kByteSource only
+  EventSource* events = nullptr;  ///< kEventSource only
 
   static ParallelInput XmlFile(std::string path) {
     return {Kind::kXmlFile, std::move(path)};
@@ -85,6 +97,14 @@ struct ParallelInput {
   static ParallelInput PretokBytes(std::string bytes) {
     return {Kind::kPretokBytes, std::move(bytes)};
   }
+  static ParallelInput Bytes(ByteSource* source) {
+    return {Kind::kByteSource, {}, source, nullptr};
+  }
+  /// The caller is responsible for tokenization compatibility: the events
+  /// must have been produced under the plans' SAX options.
+  static ParallelInput Events(EventSource* source) {
+    return {Kind::kEventSource, {}, nullptr, source};
+  }
 };
 
 /// \brief An immutable, shareable compiled query: parse + translate +
@@ -94,12 +114,10 @@ struct ParallelInput {
 /// Immutability is structural, not conventional: every accessor is const,
 /// the lazily-cached pieces of the Mft (dispatch tables, interned rule ids)
 /// are forced before the constructor returns, and a plan with a schema
-/// validator (per-run mutable state) is rejected at build time. A
-/// `shared_ptr<const CompiledPlan>` can therefore be handed to any number
-/// of concurrent runs, worker threads, or cache entries without
-/// synchronization — the PR-4 "warm the dispatch before fanning out"
-/// documentation rule is now enforced by this type, and the parallel entry
-/// points take a plan instead of a bare transducer for exactly that reason.
+/// validator or cancel token (per-run mutable state) is rejected at build
+/// time. A `shared_ptr<const CompiledPlan>` can therefore be handed to any
+/// number of concurrent runs, worker threads, or cache entries without
+/// synchronization.
 class CompiledPlan {
  public:
   /// Parses, validates, translates, optimizes (by default), and compiles
@@ -132,7 +150,7 @@ class CompiledPlan {
   /// compile time: the absolute paths whose matches the query can observe,
   /// or whole_document when nothing can be skipped (FromMft plans, queries
   /// outside the projectable fragment). Part of the immutable artifact so
-  /// multi-query runs union projections without re-walking query ASTs.
+  /// runs union projections without re-walking query ASTs.
   const QueryProjection& projection() const { return projection_; }
 
   /// Approximate resident bytes of the compiled artifact (states, rules,
@@ -140,54 +158,13 @@ class CompiledPlan {
   /// reports; an estimate, not an allocator measurement.
   std::size_t ApproxBytes() const;
 
-  /// Streams a document through the transducer. Thread-safe: concurrent
-  /// calls on one plan each build (or borrow via `scratch`) their own run
-  /// state.
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr,
-                StreamScratch* scratch = nullptr) const;
+  /// One-plan shorthands for Run over one file or one borrowed event
+  /// source, kept for the benchmark's in-process probe
+  /// (perfbench/probe.cc); everything else calls Run.
   Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr,
-                    StreamScratch* scratch = nullptr) const;
-  Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr,
-                      StreamScratch* scratch = nullptr) const;
-  /// Streams an already-tokenized event stream (e.g. a pretok cache).
+                    StreamStats* stats = nullptr) const;
   Status StreamEvents(EventSource* events, OutputSink* sink,
-                      StreamStats* stats = nullptr,
-                      StreamScratch* scratch = nullptr) const;
-
-  /// Document-set sharding: streams every input through its own engine
-  /// (private SymbolTable copy, private arenas) across
-  /// `par.threads` workers, merging outputs into `sink` in input order —
-  /// byte-identical to streaming the inputs serially, for any thread count.
-  /// On failure the run returns the lowest-index failed input's error and
-  /// the sink holds the in-order output of the successful inputs before it.
-  /// `stats`, when given, is resized to one entry per input.
-  Status StreamMany(const std::vector<ParallelInput>& inputs, OutputSink* sink,
-                    const ParallelOptions& par = {},
-                    std::vector<StreamStats>* stats = nullptr) const;
-
-  /// Single-document sharding: splits one pretok event stream at top-level
-  /// forest boundaries into at most `shards` byte ranges (0 = one shard
-  /// per top-level tree, so the decomposition — and therefore the output on
-  /// a multi-tree forest — depends only on the input, never on the machine)
-  /// and evaluates each range as its own document, merging outputs in input
-  /// order. For a single-rooted document the split yields
-  /// one shard and the output is byte-identical to StreamEvents over the
-  /// whole stream; for a multi-tree forest each shard's trees evaluate as an
-  /// independent forest (see parallel/pretok_split.h for the contract).
-  /// `pretok` must outlive the call and match this plan's SAX options.
-  Status StreamShardedPretok(std::string_view pretok, std::size_t shards,
-                             OutputSink* sink, const ParallelOptions& par = {},
-                             std::vector<StreamStats>* stats = nullptr) const;
-
-  /// StreamShardedPretok over a pretok cache file (memory-mapped).
-  Status StreamShardedPretokFile(const std::string& path, std::size_t shards,
-                                 OutputSink* sink,
-                                 const ParallelOptions& par = {},
-                                 std::vector<StreamStats>* stats
-                                 = nullptr) const;
+                      StreamStats* stats = nullptr) const;
 
   /// Non-streaming reference evaluation (whole document in memory); used
   /// for differential testing and debugging.
@@ -204,155 +181,85 @@ class CompiledPlan {
   QueryProjection projection_;
 };
 
-/// Single-pass multi-query streaming: one tokenization of `source` feeds
-/// every plan's engine at once (multiquery/multi_run.h), with the union of
-/// the plans' projections skipping unmatchable subtrees at the source. One
-/// sink per plan, in plan order; each plan streams under its own baked
-/// options (step budget etc.), and the plans' SAX options must tokenize
-/// identically.
+/// \brief Per-run knobs of Run. Everything baked into a plan (step budget,
+/// SAX options, engine choice) stays in the plan; these are the pieces that
+/// belong to one run.
+struct RunOptions {
+  /// Worker threads for a one-plan run with several work items. 0 = one per
+  /// hardware thread; clamped to the item count. Runs with more than one
+  /// plan are serial per document and accept only 1.
+  std::size_t threads = 1;
+  /// Run-level cooperative cancellation (deadline, client disconnect):
+  /// installed in every engine and also polled in the shared pump, so
+  /// projection-skipped stretches cannot outrun a deadline. Must outlive
+  /// the run; null means not cancellable.
+  const CancelToken* cancel = nullptr;
+  /// Per-plan tokens, parallel to the plan vector (empty or short = the
+  /// run-level token for the missing plans). A tripped member fails only
+  /// its own plan; siblings keep streaming.
+  std::vector<const CancelToken*> per_plan_cancel;
+  /// Merge the plans' projections and skip subtrees no plan can observe at
+  /// the source; off means every engine sees every event.
+  bool union_projection = true;
+  /// One-pass schema validation of the input during the run (per-run
+  /// stateful). Only for a one-plan run over a single unsharded input; a
+  /// validator must see every event, so it switches projection off.
+  SchemaValidator* validator = nullptr;
+  /// Single-document sharding of pretok inputs in a one-plan run: each
+  /// pretok input splits at top-level forest boundaries into at most
+  /// `shards` work items, each evaluated as its own document (see
+  /// parallel/pretok_split.h). 1 = no splitting; 0 = one item per
+  /// top-level tree, so the decomposition — and therefore the output on a
+  /// multi-tree forest — depends only on the input, never on the machine.
+  std::size_t shards = 1;
+};
+
+/// \brief What one run did, per plan and for the shared passes.
+struct RunResult {
+  struct Plan {
+    /// The plan's first failure (setup, source, or engine); OK otherwise.
+    Status status;
+    /// One entry per work item the plan streamed (an input, or one shard
+    /// of a sharded pretok input), in input order.
+    std::vector<StreamStats> per_input;
+    /// per_input summed into one record; peaks (memory, segments) are the
+    /// max across items, which need not coincide in time, and output
+    /// staged in the ordered merge is not tracked. One item's record
+    /// passes through unchanged.
+    StreamStats total;
+    std::uint64_t events_fed = 0;  ///< events the plan's engines consumed
+  };
+  std::vector<Plan> plans;  ///< parallel to the plan vector
+  std::size_t documents = 0;  ///< shared passes run (work items)
+  /// Shared-pass counters summed over documents; bytes_in counts every
+  /// tokenized byte once, however many plans read it.
+  MultiQueryStats pass;
+};
+
+/// The one streaming entry point: streams every input through every plan.
+/// `sinks` parallels `plans`; each plan's sink receives its outputs for the
+/// inputs concatenated in input order.
 ///
-/// Per-plan engine failures are isolated: siblings finish normally and the
-/// failure lands in `results`. The returned Status covers setup and
-/// source-level (XML) errors — plus, so failures cannot go unobserved, the
-/// lowest-index plan failure when `results` is not requested or when every
-/// plan failed.
-Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
-                          ByteSource* source,
-                          const std::vector<OutputSink*>& sinks,
-                          const MultiQueryOptions& options = {},
-                          std::vector<MultiPlanResult>* results = nullptr,
-                          MultiQueryStats* run_stats = nullptr);
-
-/// StreamAllTransform over an already-tokenized event stream (e.g. a pretok
-/// cache); the caller is responsible for tokenization compatibility, as
-/// with StreamTransformEvents.
-Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
-                                EventSource* events,
-                                const std::vector<OutputSink*>& sinks,
-                                const MultiQueryOptions& options = {},
-                                std::vector<MultiPlanResult>* results = nullptr,
-                                MultiQueryStats* run_stats = nullptr);
-
-/// StreamAllTransform over any ParallelInput kind (text or pretok, file or
-/// in-memory) — the one-document multi-plan counterpart of
-/// StreamManyTransform's per-input dispatch, shared by the service batch
-/// path and the CLI.
-Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
-                               const ParallelInput& input,
-                               const std::vector<OutputSink*>& sinks,
-                               const MultiQueryOptions& options = {},
-                               std::vector<MultiPlanResult>* results = nullptr,
-                               MultiQueryStats* run_stats = nullptr);
-
-/// Engine-level parallel streaming (the CompiledPlan methods above delegate
-/// here). Taking a CompiledPlan — not a bare Mft — is what makes the
-/// warm-before-fanout contract structural: a plan's dispatch was compiled
-/// before the plan existed, so worker engines can only ever share it
-/// read-only. Contracts as documented on CompiledPlan::StreamMany /
-/// StreamShardedPretok.
-Status StreamManyTransform(const CompiledPlan& plan,
-                           const std::vector<ParallelInput>& inputs,
-                           OutputSink* sink, const ParallelOptions& par = {},
-                           std::vector<StreamStats>* stats = nullptr);
-Status StreamShardedPretokTransform(const CompiledPlan& plan,
-                                    std::string_view pretok,
-                                    std::size_t shards, OutputSink* sink,
-                                    const ParallelOptions& par = {},
-                                    std::vector<StreamStats>* stats = nullptr);
-Status StreamShardedPretokFileTransform(
-    const CompiledPlan& plan, const std::string& path, std::size_t shards,
-    OutputSink* sink, const ParallelOptions& par = {},
-    std::vector<StreamStats>* stats = nullptr);
-
-/// \brief Cheap per-run execution handle over a shared immutable plan: owns
-/// the mutable state one streaming run needs (run-local symbol-table
-/// snapshot, cell/expr slab arenas) and keeps it warm across documents, so
-/// a serving loop pays table copy and block allocation once per worker, not
-/// once per document. Single-threaded; create one per worker. Holds a
-/// shared reference to the plan, so a cached plan stays alive while any
-/// run over it is in flight.
-class QueryRun {
- public:
-  explicit QueryRun(std::shared_ptr<const CompiledPlan> plan);
-
-  const CompiledPlan& plan() const { return *plan_; }
-
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr);
-  Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr);
-  Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr);
-  Status StreamEvents(EventSource* events, OutputSink* sink,
-                      StreamStats* stats = nullptr);
-
- private:
-  std::shared_ptr<const CompiledPlan> plan_;
-  StreamScratch scratch_;
-};
-
-/// \brief A compiled MinXQuery program, ready to stream documents: a thin
-/// owner of a shared CompiledPlan, kept as the single-query convenience API
-/// (examples, CLI, benches). Serving layers share plan() directly.
-class CompiledQuery {
- public:
-  /// Parses, validates, translates, and (by default) optimizes.
-  static Result<std::unique_ptr<CompiledQuery>> Compile(
-      const std::string& query_text, PipelineOptions options = {});
-
-  /// The shared immutable plan (never null).
-  const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
-
-  const Mft& mft() const { return plan_->mft(); }
-  const Mft& unoptimized_mft() const { return plan_->unoptimized_mft(); }
-  const OptimizeReport& optimize_report() const {
-    return plan_->optimize_report();
-  }
-  const QueryExpr& query() const { return plan_->query(); }
-
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr) const {
-    return plan_->Stream(source, sink, stats);
-  }
-  Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr) const {
-    return plan_->StreamFile(path, sink, stats);
-  }
-  Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr) const {
-    return plan_->StreamString(xml, sink, stats);
-  }
-  Status StreamEvents(EventSource* events, OutputSink* sink,
-                      StreamStats* stats = nullptr) const {
-    return plan_->StreamEvents(events, sink, stats);
-  }
-  Status StreamMany(const std::vector<ParallelInput>& inputs, OutputSink* sink,
-                    const ParallelOptions& par = {},
-                    std::vector<StreamStats>* stats = nullptr) const {
-    return plan_->StreamMany(inputs, sink, par, stats);
-  }
-  Status StreamShardedPretok(std::string_view pretok, std::size_t shards,
-                             OutputSink* sink, const ParallelOptions& par = {},
-                             std::vector<StreamStats>* stats
-                             = nullptr) const {
-    return plan_->StreamShardedPretok(pretok, shards, sink, par, stats);
-  }
-  Status StreamShardedPretokFile(const std::string& path, std::size_t shards,
-                                 OutputSink* sink,
-                                 const ParallelOptions& par = {},
-                                 std::vector<StreamStats>* stats
-                                 = nullptr) const {
-    return plan_->StreamShardedPretokFile(path, shards, sink, par, stats);
-  }
-  Result<Forest> Evaluate(const Forest& input) const {
-    return plan_->Evaluate(input);
-  }
-
- private:
-  CompiledQuery() = default;
-
-  std::shared_ptr<const CompiledPlan> plan_;
-};
+/// One plan: each input (or each shard, see RunOptions::shards) is a work
+/// item; items fan out across RunOptions::threads workers and merge into the
+/// sink in input order, byte-identical to a serial run for any thread
+/// count. A run of exactly one item streams straight into the sink; with
+/// more items each item's output is staged, so a failing item leaves the
+/// sink holding only the successful items before it.
+///
+/// Several plans: every input is tokenized once and feeds every plan still
+/// live (a plan that failed on an earlier input is not fed later ones);
+/// per-plan failures are isolated and sinks receive output as it is
+/// emitted.
+///
+/// Plans must tokenize identically (SAX options). Returns the lowest-index
+/// plan failure when every plan failed or `result` is null, OK otherwise;
+/// setup errors (bad arguments, a validator on a multi-item run) fail every
+/// plan.
+Status Run(const std::vector<const CompiledPlan*>& plans,
+           const std::vector<ParallelInput>& inputs,
+           const std::vector<OutputSink*>& sinks,
+           const RunOptions& options = {}, RunResult* result = nullptr);
 
 }  // namespace xqmft
 

@@ -84,9 +84,9 @@ OpsEngine::OpsEngine(const LoweredPlan& plan, OutputSink* sink,
 
 OpsEngine::~OpsEngine() {
   // The bridge records must go first: their sub-runs recycle cells and
-  // exprs into the shared scratch slabs the engine's owner destroys after
-  // us. Segments a run left behind (error or an abandoned engine) settle
-  // with the pool's tracker balance.
+  // exprs into the run context's slabs, which the engine's owner destroys
+  // after us. Segments a run left behind (error or an abandoned engine)
+  // settle with the pool's tracker balance.
   bridges_.clear();
 }
 

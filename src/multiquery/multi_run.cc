@@ -2,16 +2,19 @@
 
 #include <utility>
 
+#include "xml/sax_parser.h"
+
 namespace xqmft {
 
 MultiQueryRun::MultiQueryRun(std::vector<MultiPlanSpec> plans,
-                             MultiQueryOptions options)
-    : plans_(std::move(plans)), options_(options) {}
+                             bool union_projection, const CancelToken* cancel)
+    : plans_(std::move(plans)),
+      union_projection_(union_projection),
+      cancel_(cancel) {}
 
 MultiQueryRun::~MultiQueryRun() = default;
 
-SymbolId MultiQueryRun::SymbolRemap::Map(SymbolTable* dst,
-                                         const XmlEvent& event) {
+SymbolId MultiQueryRun::SymbolRemap::Map(const XmlEvent& event) {
   // Events without a master id (hand-built) fall back to the engine's
   // by-name interning in CellBuilder.
   if (event.symbol == kInvalidSymbol) return kInvalidSymbol;
@@ -23,7 +26,7 @@ SymbolId MultiQueryRun::SymbolRemap::Map(SymbolTable* dst,
   return ids[i];
 }
 
-Status MultiQueryRun::CheckPlans(const SaxOptions* source_sax) const {
+Status MultiQueryRun::CheckPlans() const {
   if (plans_.empty()) {
     return Status::InvalidArgument("multi-query run needs at least one plan");
   }
@@ -32,15 +35,11 @@ Status MultiQueryRun::CheckPlans(const SaxOptions* source_sax) const {
       return Status::InvalidArgument(
           "multi-query plan needs a transducer and a sink");
     }
-    if (p.options.validator != nullptr) {
+    if (p.options.validator != nullptr && plans_.size() > 1) {
       return Status::InvalidArgument(
-          "multi-query streaming does not support schema validators: a "
-          "validator must see the full stream, which source projection "
-          "drops events from");
+          "a schema validator needs a one-plan run: it is per-run stateful");
     }
-    const SaxOptions& base =
-        source_sax != nullptr ? *source_sax : plans_.front().options.sax;
-    if (!SameTokenization(base, p.options.sax)) {
+    if (!SameTokenization(plans_.front().options.sax, p.options.sax)) {
       return Status::InvalidArgument(
           "multi-query plans disagree on tokenization options; they must "
           "share one event stream");
@@ -54,152 +53,117 @@ Status MultiQueryRun::Run(EventSource* events) {
     return Status::InvalidArgument("MultiQueryRun may only run once");
   }
   ran_ = true;
-  XQMFT_RETURN_NOT_OK(CheckPlans(nullptr));
-
   results_.resize(plans_.size());
-  remaps_.resize(plans_.size());
-  first_output_bytes_.assign(plans_.size(), 0);
-  std::vector<char> saw_output(plans_.size(), 0);
-  engines_.reserve(plans_.size());
-  for (std::size_t i = 0; i < plans_.size(); ++i) {
-    MultiPlanSpec& p = plans_[i];
-    // Token priority per engine: the spec's own token, then the plan's
-    // member token (per_plan_cancel), then the run-level token. A member
-    // token tripping makes that engine's Feed fail, which the loop below
-    // isolates like any per-plan failure; the run-level token is still
-    // polled in the shared pump either way.
-    if (p.options.cancel == nullptr && i < options_.per_plan_cancel.size()) {
-      p.options.cancel = options_.per_plan_cancel[i];
-    }
-    if (options_.cancel != nullptr && p.options.cancel == nullptr) {
-      p.options.cancel = options_.cancel;
-    }
-    engines_.push_back(std::make_unique<Engine>(*p.mft, p.sink, p.options));
+  Status setup = CheckPlans();
+  if (!setup.ok()) {
+    for (MultiPlanResult& r : results_) r.status = setup;
+    return setup;
   }
+
+  const std::size_t n = plans_.size();
+  first_output_bytes_.assign(n, 0);
+  engines_.reserve(n);
+  // A validator must see every event, so it keeps the projection off.
+  bool project = union_projection_;
+  for (const MultiPlanSpec& p : plans_) {
+    // A plan's own token tripping makes its engine's Feed fail, which the
+    // loop below isolates like any per-plan failure.
+    engines_.push_back(std::make_unique<Engine>(*p.mft, p.sink, p.options));
+    if (p.options.validator != nullptr) project = false;
+  }
+  remaps_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) remaps_[i].dst = engines_[i]->symbols();
   std::unique_ptr<UnionProjection> projection;
-  if (options_.union_projection) {
+  if (project) {
     std::vector<const QueryProjection*> projections;
-    projections.reserve(plans_.size());
+    projections.reserve(n);
     for (const MultiPlanSpec& p : plans_) projections.push_back(p.projection);
     projection = std::make_unique<UnionProjection>(projections, &master_);
     if (!projection->enabled()) projection.reset();
   }
   stats_.projection_enabled = projection != nullptr;
-
   events->BindSymbols(&master_);
-  auto note_output = [&](std::size_t i) {
-    if (saw_output[i] == 0 && engines_[i]->output_events() > 0) {
+
+  std::vector<char> saw_output(n, 0);
+  auto settle = [&](std::size_t i, const Status& st) {
+    if (!st.ok()) {
+      results_[i].status = st;  // isolated: siblings keep going
+    } else if (saw_output[i] == 0 && engines_[i]->output_events() > 0) {
       saw_output[i] = 1;
       first_output_bytes_[i] = events->bytes_consumed();
     }
   };
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    Status st = engines_[i]->Prime();
-    if (!st.ok()) {
-      results_[i].status = st;
-    } else {
-      note_output(i);
-    }
-  }
+  // Engine i can still change its output: neither failed nor done.
+  auto live = [&](std::size_t i) {
+    return results_[i].status.ok() && !engines_[i]->done();
+  };
+  for (std::size_t i = 0; i < n; ++i) settle(i, engines_[i]->Prime());
 
   XmlEvent event;
+  XmlEvent remapped;
   for (;;) {
-    // Like the serial pump, stop reading as soon as no engine's output can
-    // still change (all done or failed).
+    // Stop reading as soon as no engine is live.
     bool any_live = false;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (results_[i].status.ok() && !engines_[i]->done()) {
-        any_live = true;
-        break;
-      }
-    }
+    for (std::size_t i = 0; i < n && !any_live; ++i) any_live = live(i);
     if (!any_live) break;
     Status st = events->Next(&event);
-    if (!st.ok()) {
-      // A malformed shared source aborts every unfinished plan; plans whose
-      // output completed before the error keep their results, exactly as
-      // their serial runs (which stop reading early) would.
-      for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (!results_[i].status.ok()) continue;
-        if (engines_[i]->done()) {
-          engines_[i]->Finish(&results_[i].stats);
-          results_[i].stats.bytes_in = events->bytes_consumed();
-          results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
-        } else {
-          results_[i].status = st;
-        }
-      }
-      stats_.bytes_in = events->bytes_consumed();
-      return st;
-    }
+    if (!st.ok()) return Abort(events, std::move(st));
     if (event.type == XmlEventType::kEndOfDocument) break;
     ++stats_.events_total;
     // Run-level cancellation, polled here as well as inside the engines:
     // under the union projection a long unmatchable stretch feeds no engine
     // at all, so only the shared pump can observe a deadline during it.
-    // Abort handling mirrors a source error: completed plans keep their
-    // results, unfinished ones fail with the token's status.
-    if (options_.cancel != nullptr && (stats_.events_total & 255u) == 0) {
-      Status cst = options_.cancel->Check();
-      if (!cst.ok()) {
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-          if (!results_[i].status.ok()) continue;
-          if (engines_[i]->done()) {
-            engines_[i]->Finish(&results_[i].stats);
-            results_[i].stats.bytes_in = events->bytes_consumed();
-            results_[i].stats.bytes_in_at_first_output =
-                first_output_bytes_[i];
-          } else {
-            // No Finish here: the engine is still live, and Finish would
-            // synthesize end-of-document and emit output for a run we are
-            // abandoning. Status only, like a source error.
-            results_[i].status = cst;
-          }
-        }
-        stats_.bytes_in = events->bytes_consumed();
-        return cst;
-      }
+    if (cancel_ != nullptr && (stats_.events_total & 255u) == 0) {
+      Status cst = cancel_->Check();
+      if (!cst.ok()) return Abort(events, std::move(cst));
     }
     if (projection != nullptr && !projection->Feed(event)) {
       ++stats_.events_skipped;
       continue;
     }
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (!results_[i].status.ok() || engines_[i]->done()) continue;
-      XmlEvent copy = event;
-      copy.symbol = event.type == XmlEventType::kStartElement
-                        ? remaps_[i].Map(engines_[i]->symbols(), event)
-                        : kInvalidSymbol;
-      Status fst = engines_[i]->Feed(copy);
-      if (!fst.ok()) {
-        results_[i].status = fst;  // isolated: siblings keep streaming
-        continue;
-      }
-      ++results_[i].events_fed;
-      note_output(i);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!live(i)) continue;
+      remapped = event;
+      remapped.symbol = event.type == XmlEventType::kStartElement
+                            ? remaps_[i].Map(event)
+                            : kInvalidSymbol;
+      const Status fst = engines_[i]->Feed(remapped);
+      if (fst.ok()) ++results_[i].events_fed;
+      settle(i, fst);
     }
   }
-  Finish(events);
-  return Status::OK();
-}
-
-void MultiQueryRun::Finish(EventSource* events) {
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     // Engine::Finish supplies the synthetic end-of-document to live
     // engines, is a stats-only no-op on failed (sticky) ones, and fills
     // stats either way.
-    Status fst = engines_[i]->Finish(&results_[i].stats);
-    if (results_[i].status.ok() && !fst.ok()) results_[i].status = fst;
-    results_[i].stats.bytes_in = events->bytes_consumed();
-    results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
+    FinishPlan(i, events);
   }
   stats_.bytes_in = events->bytes_consumed();
+  return Status::OK();
 }
 
-Status MultiQueryRun::RunSource(ByteSource* source, const SaxOptions& sax) {
-  XQMFT_RETURN_NOT_OK(CheckPlans(&sax));
-  SaxParser parser(source, sax);
-  return Run(&parser);
+void MultiQueryRun::FinishPlan(std::size_t i, EventSource* events) {
+  Status fst = engines_[i]->Finish(&results_[i].stats);
+  if (results_[i].status.ok() && !fst.ok()) results_[i].status = fst;
+  results_[i].stats.bytes_in = events->bytes_consumed();
+  results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
+}
+
+Status MultiQueryRun::Abort(EventSource* events, Status st) {
+  // Plans whose output completed keep their results, exactly as their
+  // one-plan runs (which stop reading early) would. Unfinished plans get
+  // the status only: Finish would synthesize end-of-document and emit
+  // output for a run being abandoned.
+  for (std::size_t i = 0; i < engines_.size(); ++i) {
+    if (!results_[i].status.ok()) continue;
+    if (engines_[i]->done()) {
+      FinishPlan(i, events);
+    } else {
+      results_[i].status = st;
+    }
+  }
+  stats_.bytes_in = events->bytes_consumed();
+  return st;
 }
 
 }  // namespace xqmft

@@ -18,9 +18,9 @@
 #include "multiquery/projection.h"
 #include "multiquery/union_projection.h"
 #include "stream/engine.h"
+#include "util/cancel.h"
 #include "xml/event_source.h"
 #include "xml/events.h"
-#include "xml/sax_parser.h"
 
 namespace xqmft {
 
@@ -31,9 +31,9 @@ struct MultiPlanSpec {
   /// treated as whole_document and disables the union automaton for the
   /// whole run. Must outlive the run.
   const QueryProjection* projection = nullptr;
-  /// Per-plan step budget etc.; `validator` must be null (a validator reads
-  /// the full stream, incompatible with source projection), and `sax` must
-  /// tokenize identically across all plans of a run.
+  /// Per-plan step budget, cancel token etc. A `validator` is allowed only
+  /// in a one-plan run and switches the union projection off (it must see
+  /// every event). `sax` must tokenize identically across all plans.
   StreamOptions options;
   OutputSink* sink = nullptr;
 };
@@ -50,28 +50,6 @@ struct MultiPlanResult {
   std::uint64_t events_fed = 0;  ///< events this engine consumed
 };
 
-struct MultiQueryOptions {
-  /// Merge the per-plan projections and skip unmatchable subtrees at the
-  /// source; off means every engine sees every event (the N-pass count).
-  bool union_projection = true;
-  /// Run-level cooperative cancellation (batch deadline, client
-  /// disconnect): injected into every engine's StreamOptions and also
-  /// polled in the shared pump itself, so projection-skipped stretches —
-  /// where no engine sees events — cannot outrun a deadline. A trip aborts
-  /// every unfinished plan with the token's status; plans that already
-  /// completed keep their results, mirroring source-error handling. Must
-  /// outlive the run; null means not cancellable.
-  const CancelToken* cancel = nullptr;
-  /// Per-plan cooperative cancellation, parallel to the plan vector (empty
-  /// or short = no token for the missing plans). Each token is installed as
-  /// its engine's StreamOptions cancel (unless the spec carries one
-  /// already), so a tripped member detaches through the per-plan
-  /// failure-isolation path — status recorded, siblings keep streaming —
-  /// which is how the serving scheduler drops one disconnected request out
-  /// of a shared coalesced run. Tokens must outlive the run.
-  std::vector<const CancelToken*> per_plan_cancel;
-};
-
 struct MultiQueryStats {
   std::uint64_t events_total = 0;    ///< events the shared source produced
   std::uint64_t events_skipped = 0;  ///< dropped by the union projection
@@ -80,40 +58,51 @@ struct MultiQueryStats {
 };
 
 /// \brief Drives one shared event source through every plan's engine in a
-/// single pass. Use once: construct, Run (or RunSource), read results().
+/// single pass — the one loop that feeds engines; every run (core/pipeline.h)
+/// streams each document through it, one plan or many. Use once: construct,
+/// Run, read results().
 class MultiQueryRun {
  public:
-  explicit MultiQueryRun(std::vector<MultiPlanSpec> plans,
-                         MultiQueryOptions options = {});
+  /// `union_projection` merges the plans' projections and skips subtrees no
+  /// plan can observe at the source. `cancel` is the run-level token, polled
+  /// in the shared pump so projection-skipped stretches — where no engine
+  /// sees events — cannot outrun a deadline; a trip aborts every unfinished
+  /// plan with the token's status, and plans that already completed keep
+  /// their results. Engines poll their own StreamOptions::cancel. Must
+  /// outlive the run; null means not cancellable.
+  MultiQueryRun(std::vector<MultiPlanSpec> plans, bool union_projection = true,
+                const CancelToken* cancel = nullptr);
   ~MultiQueryRun();
   MultiQueryRun(const MultiQueryRun&) = delete;
   MultiQueryRun& operator=(const MultiQueryRun&) = delete;
 
   /// Streams `events` to completion (or until every plan has finished or
-  /// failed — like the serial pump, the run stops reading early when no
-  /// engine can produce further output). The source is bound to the run's
-  /// master symbol table. Returns setup and source-level errors; per-plan
-  /// engine failures land in results() only.
+  /// failed — the run stops reading early when no engine can produce
+  /// further output). The source is bound to the run's master symbol table.
+  /// Returns setup and source-level errors, which also land in results()
+  /// for every plan they abort; per-plan engine failures land in results()
+  /// only.
   Status Run(EventSource* events);
-
-  /// Convenience: parses `source` with `sax` (which must tokenize
-  /// identically to every plan's options.sax — checked).
-  Status RunSource(ByteSource* source, const SaxOptions& sax);
 
   const std::vector<MultiPlanResult>& results() const { return results_; }
   const MultiQueryStats& stats() const { return stats_; }
 
  private:
   struct SymbolRemap {
-    std::vector<SymbolId> ids;  ///< master id -> engine id, grown lazily
-    SymbolId Map(SymbolTable* dst, const XmlEvent& event);
+    SymbolTable* dst = nullptr;  ///< the engine's run-local table
+    std::vector<SymbolId> ids;   ///< master id -> engine id, grown lazily
+    SymbolId Map(const XmlEvent& event);
   };
 
-  Status CheckPlans(const SaxOptions* source_sax) const;
-  void Finish(EventSource* events);
+  Status CheckPlans() const;
+  /// Finishes engine `i` and fills its stats, byte accounting included.
+  void FinishPlan(std::size_t i, EventSource* events);
+  /// Aborts the pass on a source error or run-level cancellation.
+  Status Abort(EventSource* events, Status st);
 
   std::vector<MultiPlanSpec> plans_;
-  MultiQueryOptions options_;
+  bool union_projection_;
+  const CancelToken* cancel_;
   SymbolTable master_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<SymbolRemap> remaps_;

@@ -511,16 +511,18 @@ bool NetServer::Impl::Deliver(Conn* c, std::uint64_t seq,
   std::size_t delivered = 0;
   for (auto it = c->ready.find(c->next_to_send); it != c->ready.end();
        it = c->ready.find(c->next_to_send)) {
+    if (options.fault_abort_conn_after_responses != 0 &&
+        c->responses_sent + 1 >= options.fault_abort_conn_after_responses) {
+      // The response that reaches the threshold never leaves; the ones
+      // queued before it do, even when both completed in one batch.
+      if (FlushWrites(c)) CloseConn(c, /*abort=*/true);
+      return false;
+    }
     delivered += it->second.size();
     c->wbuf += it->second;
     c->ready.erase(it);
     ++c->next_to_send;
     ++c->responses_sent;
-    if (options.fault_abort_conn_after_responses != 0 &&
-        c->responses_sent >= options.fault_abort_conn_after_responses) {
-      CloseConn(c, /*abort=*/true);
-      return false;
-    }
   }
   if (!FlushWrites(c)) return false;
   // The limit is counted against the backlog queued before this delivery

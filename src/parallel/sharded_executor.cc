@@ -8,9 +8,7 @@
 
 namespace xqmft {
 
-std::size_t ResolveThreads(const ParallelOptions& options,
-                           std::size_t item_count) {
-  std::size_t threads = options.threads;
+std::size_t ResolveThreads(std::size_t threads, std::size_t item_count) {
   if (threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
@@ -20,10 +18,11 @@ std::size_t ResolveThreads(const ParallelOptions& options,
 }
 
 Status ShardedExecutor::Run(std::size_t item_count, const ItemFn& item,
-                            OutputSink* downstream,
-                            const ParallelOptions& options) {
+                            OutputSink* downstream, std::size_t threads) {
   if (item_count == 0) return Status::OK();
-  std::size_t threads = ResolveThreads(options, item_count);
+  // One item has nothing to order or isolate from: stream it unstaged.
+  if (item_count == 1) return item(0, downstream);
+  threads = ResolveThreads(threads, item_count);
 
   if (threads <= 1) {
     // Serial fast path: no worker threads, items run in order on the

@@ -18,33 +18,17 @@
 // into the downstream sink, for any thread count. On failure the run's
 // Status is the lowest-index failed item's error, the sink holds an
 // in-order prefix of successful items, and remaining items may be skipped.
+// The one exception is a single-item run, which streams unstaged (see Run).
 #ifndef XQMFT_PARALLEL_SHARDED_EXECUTOR_H_
 #define XQMFT_PARALLEL_SHARDED_EXECUTOR_H_
 
 #include <cstddef>
 #include <functional>
 
-#include "util/cancel.h"
 #include "util/status.h"
 #include "xml/events.h"
 
 namespace xqmft {
-
-/// \brief Knobs of one parallel run.
-struct ParallelOptions {
-  /// Worker threads. 0 = one per hardware thread; clamped to the item
-  /// count. 1 runs items in order on the calling thread with no worker
-  /// threads or merge lock (the serial fast path — and the serial baseline
-  /// the differential suite compares against); output is still staged per
-  /// item, so error behavior is identical at every thread count.
-  std::size_t threads = 0;
-  /// Per-run cooperative cancellation, threaded by the streaming entry
-  /// points into every worker engine's StreamOptions (a CompiledPlan's
-  /// baked options cannot carry a token — it is per-request mutable state —
-  /// so this is how serving layers abort a fan-out mid-stream). The token
-  /// must outlive the run; null means not cancellable.
-  const CancelToken* cancel = nullptr;
-};
 
 /// \brief Runs indexed work items across worker threads with ordered merge.
 class ShardedExecutor {
@@ -55,15 +39,22 @@ class ShardedExecutor {
   /// across indices.
   using ItemFn = std::function<Status(std::size_t index, OutputSink* sink)>;
 
-  /// Executes items [0, item_count) and merges their output into
-  /// `downstream` in index order. Blocks until done.
+  /// Executes items [0, item_count) across `threads` workers (0 = one per
+  /// hardware thread; clamped to the item count) and merges their output
+  /// into `downstream` in index order. Blocks until done.
+  ///
+  /// A single item streams straight into `downstream`, unstaged: output
+  /// reaches the caller as it is emitted, and a failing item leaves its
+  /// partial output there. With more items, each item's output is staged,
+  /// also on the serial path (threads = 1: items run in order on the
+  /// calling thread, no worker threads or merge lock), so error behavior is
+  /// identical at every thread count.
   static Status Run(std::size_t item_count, const ItemFn& item,
-                    OutputSink* downstream, const ParallelOptions& options);
+                    OutputSink* downstream, std::size_t threads);
 };
 
-/// Resolved worker count for `options` over `item_count` items (>= 1).
-std::size_t ResolveThreads(const ParallelOptions& options,
-                           std::size_t item_count);
+/// Resolved worker count for `threads` over `item_count` items (>= 1).
+std::size_t ResolveThreads(std::size_t threads, std::size_t item_count);
 
 }  // namespace xqmft
 

@@ -10,27 +10,6 @@
 
 namespace xqmft {
 
-StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
-  StreamStats out;
-  for (const StreamStats& s : per_input) {
-    if (s.peak_bytes > out.peak_bytes) out.peak_bytes = s.peak_bytes;
-    if (s.segments_peak > out.segments_peak) {
-      out.segments_peak = s.segments_peak;
-    }
-    out.final_bytes += s.final_bytes;
-    out.rule_applications += s.rule_applications;
-    out.cells_created += s.cells_created;
-    out.cells_arena += s.cells_arena;
-    out.exprs_created += s.exprs_created;
-    out.bytes_in += s.bytes_in;
-    out.output_events += s.output_events;
-    out.used_ops_engine = out.used_ops_engine || s.used_ops_engine;
-    out.bridge_runs += s.bridge_runs;
-    out.hybrid_plan = out.hybrid_plan || s.hybrid_plan;
-  }
-  return out;
-}
-
 QueryService::QueryService(QueryCacheOptions cache_options,
                            PipelineOptions base_options)
     : base_options_(base_options), cache_(cache_options) {}
@@ -48,8 +27,8 @@ Status QueryService::Execute(const ServiceRequest& request, OutputSink* sink,
   XQMFT_ASSIGN_OR_RETURN(QueryCacheLookup lookup,
                          cache_.Lookup(request.query, options));
 
-  ParallelOptions par;
-  par.threads = request.threads;
+  RunOptions run;
+  run.threads = request.threads;
   // A deadline with no caller token arms a request-local one; a caller token
   // that already carries a deadline (armed from admission time, so queue
   // wait counts against the budget) is left alone.
@@ -59,10 +38,10 @@ Status QueryService::Execute(const ServiceRequest& request, OutputSink* sink,
     if (token == nullptr) token = &local_token;
     if (!token->has_deadline()) token->SetDeadlineAfterMs(request.deadline_ms);
   }
-  par.cancel = token;
-  std::vector<StreamStats> per_input;
+  run.cancel = token;
+  RunResult result;
   auto t0 = std::chrono::steady_clock::now();
-  Status st = lookup.plan->StreamMany(request.inputs, sink, par, &per_input);
+  Status st = Run({lookup.plan.get()}, request.inputs, {sink}, run, &result);
   double stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -70,8 +49,8 @@ Status QueryService::Execute(const ServiceRequest& request, OutputSink* sink,
     stats->cache_hit = lookup.hit;
     stats->compile_ms = lookup.compile_ms;
     stats->stream_ms = stream_ms;
-    stats->total = AggregateStreamStats(per_input);
-    stats->per_input = std::move(per_input);
+    stats->total = result.plans[0].total;
+    stats->per_input = std::move(result.plans[0].per_input);
   }
   return st;
 }
@@ -105,7 +84,7 @@ struct BatchGroup {
 Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
                                   const std::vector<OutputSink*>& sinks,
                                   ServiceBatchStats* stats,
-                                  const MultiQueryOptions& multi_options) {
+                                  const RunOptions& run_options) {
   if (requests.empty()) {
     return Status::InvalidArgument("batch has no requests");
   }
@@ -187,10 +166,8 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
   for (BatchGroup& group : groups) {
     const std::size_t slots = group.plans.size();
     std::vector<EventBuffer> buffers(slots);
-    std::vector<Status> slot_status(slots, Status::OK());
-    std::vector<std::vector<StreamStats>> slot_inputs(slots);
-    std::vector<std::uint64_t> slot_events_fed(slots, 0);
-    std::uint64_t group_skipped = 0;
+    std::vector<OutputSink*> slot_sinks;
+    for (EventBuffer& b : buffers) slot_sinks.push_back(&b);
 
     // A slot serving exactly one member (or members sharing one token)
     // streams under that member's cancel token, so a disconnect or deadline
@@ -198,7 +175,8 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
     // slot with several independent members keeps streaming while any of
     // them might still want the output; a tripped member is denied at
     // replay time below instead.
-    std::vector<const CancelToken*> slot_cancel(slots, nullptr);
+    RunOptions pass_options = run_options;
+    pass_options.per_plan_cancel.assign(slots, nullptr);
     for (std::size_t s = 0; s < slots; ++s) {
       const std::vector<std::size_t>& members = group.requests_for_plan[s];
       const CancelToken* shared =
@@ -206,65 +184,29 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
       for (std::size_t i : members) {
         if (requests[i].cancel != shared) { shared = nullptr; break; }
       }
-      slot_cancel[s] = shared;
+      pass_options.per_plan_cancel[s] = shared;
     }
 
+    RunResult result;
     auto t0 = std::chrono::steady_clock::now();
-    for (const ParallelInput& doc : *group.inputs) {
-      // A slot that failed on an earlier document is done: the serial
-      // equivalent (Execute aborting the whole request on first error)
-      // never reaches the later documents either.
-      std::vector<const CompiledPlan*> live_plans;
-      std::vector<OutputSink*> live_sinks;
-      std::vector<std::size_t> live_slots;
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (!slot_status[s].ok()) continue;
-        live_plans.push_back(group.plans[s]);
-        live_sinks.push_back(&buffers[s]);
-        live_slots.push_back(s);
-      }
-      if (live_plans.empty()) break;
-
-      MultiQueryOptions pass_options = multi_options;
-      pass_options.per_plan_cancel.reserve(live_slots.size());
-      for (std::size_t s : live_slots) {
-        pass_options.per_plan_cancel.push_back(slot_cancel[s]);
-      }
-
-      std::vector<MultiPlanResult> results;
-      MultiQueryStats run_stats;
-      Status st = StreamAllTransformInput(live_plans, doc, live_sinks,
-                                          pass_options, &results, &run_stats);
-      ++documents;
-      parsed_bytes += run_stats.bytes_in;
-      group_skipped += run_stats.events_skipped;
-      if (results.size() == live_slots.size()) {
-        for (std::size_t k = 0; k < live_slots.size(); ++k) {
-          std::size_t s = live_slots[k];
-          slot_inputs[s].push_back(results[k].stats);
-          slot_events_fed[s] += results[k].events_fed;
-          if (!results[k].status.ok()) slot_status[s] = results[k].status;
-        }
-      } else if (!st.ok()) {
-        // Setup-level rejection (e.g. mixed tokenization options within the
-        // group) never reached the engines; it fails every live slot.
-        for (std::size_t s : live_slots) slot_status[s] = st;
-      }
-    }
+    Run(group.plans, *group.inputs, slot_sinks, pass_options, &result);
     double group_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
     total_stream_ms += group_ms;
+    documents += result.documents;
+    parsed_bytes += result.pass.bytes_in;
 
     for (std::size_t s = 0; s < slots; ++s) {
+      const RunResult::Plan& slot = result.plans[s];
       for (std::size_t i : group.requests_for_plan[s]) {
-        per_request[i].status = slot_status[s];
+        per_request[i].status = slot.status;
         per_request[i].stream_ms = group_ms;
-        per_request[i].per_input = slot_inputs[s];
-        per_request[i].total = AggregateStreamStats(slot_inputs[s]);
-        per_request[i].events_fed = slot_events_fed[s];
-        per_request[i].events_skipped = group_skipped;
-        if (!slot_status[s].ok()) continue;
+        per_request[i].per_input = slot.per_input;
+        per_request[i].total = slot.total;
+        per_request[i].events_fed = slot.events_fed;
+        per_request[i].events_skipped = result.pass.events_skipped;
+        if (!slot.status.ok()) continue;
         // A member whose own token tripped while a shared (deduped) slot
         // kept streaming for its siblings gets its token's status, not a
         // replay — nobody is waiting for those bytes.

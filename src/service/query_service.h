@@ -2,10 +2,10 @@
 //
 // A QueryService owns the process-wide QueryCache and executes requests of
 // the shape "this query over these documents with this many workers"
-// through the existing streaming paths: one input streams through a single
-// engine; a batch fans out through CompiledPlan::StreamMany (document-set
-// sharding with ordered merge, PR 4), so responses are byte-identical to
-// streaming the batch serially whatever the thread count. Compile cost is
+// through Run (core/pipeline.h): one input streams straight into the
+// response sink; several fan out across workers with an ordered merge, so
+// responses are byte-identical to streaming the batch serially whatever the
+// thread count. Compile cost is
 // paid at most once per distinct query and reported separately from stream
 // cost in the per-request stats — the compile-amortization story
 // bench_service measures.
@@ -84,12 +84,6 @@ struct ServiceBatchStats {
   std::vector<ServiceRequestStats> per_request;
 };
 
-/// Sums per-input statistics into one record. Peak memory is the max
-/// engine-tracked peak across inputs (per-engine peaks need not coincide in
-/// time); output staged in the ordered merge is not tracked and comes on
-/// top.
-StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input);
-
 /// \brief Executes requests against a shared compile-once cache.
 /// Thread-safe: concurrent Execute calls share plans through the cache and
 /// run independent engines.
@@ -114,7 +108,9 @@ class QueryService {
   ///
   /// `sinks` parallels `requests`. `request.threads` is ignored: the shared
   /// pass is serial per document (combining multi-query execution with
-  /// document-set sharding is future work). `request.cancel` is honored per
+  /// document-set sharding is future work). `run_options` carries the
+  /// batch-wide knobs (union projection, batch cancel token); per-plan
+  /// tokens are derived from the members. `request.cancel` is honored per
   /// member: a token that tripped before the pass excludes the member up
   /// front (no compile, no slot); a single-member slot streams under its
   /// member's token, so a mid-pass trip detaches just that plan; and a
@@ -127,7 +123,7 @@ class QueryService {
   Status ExecuteBatch(const std::vector<ServiceRequest>& requests,
                       const std::vector<OutputSink*>& sinks,
                       ServiceBatchStats* stats = nullptr,
-                      const MultiQueryOptions& multi_options = {});
+                      const RunOptions& run_options = {});
 
   QueryCache* cache() { return &cache_; }
   const QueryCache& cache() const { return cache_; }

@@ -331,17 +331,17 @@ Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
   SaxParser parser(owned.get(), lookup.plan->options().stream.sax);
   FaultInjectingSource events(&parser, fault);
 
-  StreamOptions sopts = lookup.plan->options().stream;
-  sopts.cancel = cancel;
-  StreamStats ss;
+  RunOptions run;
+  run.cancel = cancel;
+  RunResult result;
   auto t0 = std::chrono::steady_clock::now();
-  Status st =
-      StreamTransformEvents(lookup.plan->mft(), &events, sink, sopts, &ss);
+  Status st = Run({lookup.plan.get()}, {ParallelInput::Events(&events)},
+                  {sink}, run, &result);
   stats->stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-  stats->per_input.push_back(ss);
-  stats->total = AggregateStreamStats(stats->per_input);
+  stats->total = result.plans[0].total;
+  stats->per_input = std::move(result.plans[0].per_input);
   return st;
 }
 
@@ -558,7 +558,7 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     return reject(Status::InvalidArgument(
         "batch has no documents (give \"inputs\" paths or inline \"xml\")"));
   }
-  MultiQueryOptions multi;
+  RunOptions multi;
   if (const JsonValue* up = json.Find("union_projection")) {
     if (!up->is_bool()) {
       return reject(

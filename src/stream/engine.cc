@@ -15,8 +15,8 @@
 
 namespace xqmft {
 
-// TU-local, but in a named namespace (not anonymous) so StreamScratch::Impl
-// — an external-linkage class — can hold the Expr arena without tripping
+// TU-local, but in a named namespace (not anonymous) so Engine::Impl — an
+// external-linkage class — can hold the run context without tripping
 // -Wsubobject-linkage.
 namespace engine_detail {
 
@@ -118,27 +118,15 @@ class Expr : public RefCounted {
   std::vector<IntrusivePtr<Expr>> args_;
 };
 
-}  // namespace engine_detail
-
-// The mutable per-run state a serving loop keeps alive between documents:
-// byte accounting, both slab arenas, and the run-local symbol table with its
-// snapshot boundary (the base table's size at seeding time). Defined here so
-// the Expr slab can live outside any single engine run.
-struct StreamScratch::Impl {
-  explicit Impl(const Mft& mft)
-      : symbols(mft.symbols()), base_symbols(symbols.size()) {}
+// The mutable state of one engine run: byte accounting, both slab arenas,
+// and the run-local symbol table (seeded from the transducer's base table).
+struct RunContext {
+  explicit RunContext(const Mft& mft) : symbols(mft.symbols()) {}
   MemoryTracker tracker;
-  engine_detail::ExprArena expr_arena{&tracker};
+  ExprArena expr_arena{&tracker};
   CellArena cell_arena{&tracker};
-  SymbolTable symbols;       // run table; grows with input names per run
-  std::size_t base_symbols;  // snapshot boundary: the plan's base alphabet
+  SymbolTable symbols;  // run table; grows with input names
 };
-
-StreamScratch::StreamScratch(const Mft& mft)
-    : impl_(std::make_unique<Impl>(mft)) {}
-StreamScratch::~StreamScratch() = default;
-
-namespace engine_detail {
 
 // The table-machine engine core (the lazy thunk interpreter). The former
 // pull loop is split at its input boundary: Pump() emits everything
@@ -151,7 +139,7 @@ namespace engine_detail {
 // between this machine and the lowered ops engine.
 struct TableMachine {
   TableMachine(const Mft& mft, OutputSink* sink, const StreamOptions& options,
-               StreamScratch::Impl* ctx)
+               RunContext* ctx)
       : mft_(mft),
         dispatch_(&mft.dispatch()),
         ctx_(ctx),
@@ -513,7 +501,7 @@ struct TableMachine {
   // input). Owned by the Engine facade, which guarantees it outlives the
   // machine and that all cells/exprs are recycled before the slabs free
   // their blocks (the facade destroys the machine before the context).
-  StreamScratch::Impl* ctx_;
+  RunContext* ctx_;
   OutputSink* sink_;
   StreamOptions options_;
   CellBuilder builder_;
@@ -557,8 +545,8 @@ EngineChoice ResolveEngineChoice(EngineChoice opt) {
 // did not pin the table machine; unlowerable plans always take the table
 // machine (kOps included — the fallback is silent here, and the CLI reports
 // it). Both cores sit behind the same Prime/Feed/Finish contract, so every
-// driver — single-query pumps, multi-query fan-out, sharding, the service
-// loop — inherits the selection untouched.
+// run — one plan or many, sharded or serial, CLI or service — inherits the
+// selection untouched.
 struct Engine::Impl {
   // What the table-machine sub-runs behind a hybrid plan's kBridge sites
   // consumed, folded into the run's stats at Finish. A sub-run reports at
@@ -579,7 +567,7 @@ struct Engine::Impl {
     BridgeRunImpl(Engine::Impl* impl, std::uint32_t site, OutputSink* sink)
         : impl_(impl),
           machine_(*impl->lowered_->bridge_mft, sink, impl->BridgeOptions(),
-                   impl->ctx_) {
+                   &impl->ctx_) {
       machine_.start_state_ = impl->lowered_->bridge_sites[site];
     }
 
@@ -600,13 +588,8 @@ struct Engine::Impl {
     engine_detail::TableMachine machine_;
   };
 
-  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options,
-       StreamScratch::Impl* scratch)
-      : owned_(scratch == nullptr ? std::make_unique<StreamScratch::Impl>(mft)
-                                  : nullptr),
-        ctx_(Prepare(scratch != nullptr ? scratch : owned_.get(),
-                     /*reused=*/scratch != nullptr)),
-        options_(options) {
+  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options)
+      : ctx_(mft), options_(options) {
     const lower::LoweredPlan* lowered = nullptr;
     if (ResolveEngineChoice(options.engine) != EngineChoice::kTable) {
       lowered = lower::GetLoweredPlan(mft);
@@ -620,12 +603,12 @@ struct Engine::Impl {
         };
       }
       ops_ = std::make_unique<lower::OpsEngine>(
-          *lowered, sink, &ctx_->symbols, &ctx_->tracker, options.max_steps,
+          *lowered, sink, &ctx_.symbols, &ctx_.tracker, options.max_steps,
           options.validator, options.cancel, options.cancel_check_events,
           lowered->hybrid ? &bridge_factory_ : nullptr);
     } else {
-      table_ = std::make_unique<engine_detail::TableMachine>(mft, sink,
-                                                             options, ctx_);
+      table_ = std::make_unique<engine_detail::TableMachine>(
+          mft, sink, options, &ctx_);
     }
   }
 
@@ -639,18 +622,6 @@ struct Engine::Impl {
     const std::uint64_t used = ops_->steps() + bridge_acc_.steps;
     o.max_steps = options_.max_steps > used ? options_.max_steps - used : 0;
     return o;
-  }
-
-  // Re-entry of a serving loop: snapshot the run table back to the plan's
-  // base alphabet (input names interned by earlier documents are forgotten,
-  // keeping the table alphabet-sized instead of growing with the union of
-  // all inputs ever served) and restart peak accounting for this run.
-  static StreamScratch::Impl* Prepare(StreamScratch::Impl* ctx, bool reused) {
-    if (reused) {
-      ctx->symbols.TruncateToSnapshot(ctx->base_symbols);
-      ctx->tracker.ResetPeak();
-    }
-    return ctx;
   }
 
   bool done() const { return ops_ != nullptr ? ops_->done() : table_->done(); }
@@ -668,8 +639,8 @@ struct Engine::Impl {
     if (ops_ == nullptr) return table_->Finish(stats);
     Status s = ops_->Finish();
     if (stats != nullptr) {
-      stats->peak_bytes = ctx_->tracker.peak_bytes();
-      stats->final_bytes = ctx_->tracker.current_bytes();
+      stats->peak_bytes = ctx_.tracker.peak_bytes();
+      stats->final_bytes = ctx_.tracker.current_bytes();
       stats->rule_applications = ops_->steps() + bridge_acc_.steps;
       stats->cells_created = bridge_acc_.cells;
       stats->exprs_created = bridge_acc_.exprs;
@@ -683,12 +654,11 @@ struct Engine::Impl {
     return s;
   }
 
-  // owned_ precedes the machines: members destruct in reverse order, and
-  // the table machine's cells/exprs must be recycled before their slabs
-  // free their blocks. ops_ is last: it may hold live bridge sub-runs whose
+  // ctx_ precedes the machines: members destruct in reverse order, and the
+  // table machine's cells/exprs must be recycled before their slabs free
+  // their blocks. ops_ is last: it may hold live bridge sub-runs whose
   // machines point into ctx_ and whose factory is bridge_factory_.
-  std::unique_ptr<StreamScratch::Impl> owned_;
-  StreamScratch::Impl* ctx_;
+  engine_detail::RunContext ctx_;
   StreamOptions options_;
   const lower::LoweredPlan* lowered_ = nullptr;
   BridgeAccounting bridge_acc_;
@@ -697,92 +667,15 @@ struct Engine::Impl {
   std::unique_ptr<lower::OpsEngine> ops_;
 };
 
-Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options,
-               StreamScratch* scratch)
-    : impl_(std::make_unique<Impl>(
-          mft, sink, options, scratch != nullptr ? scratch->impl() : nullptr)) {}
+Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options)
+    : impl_(std::make_unique<Impl>(mft, sink, options)) {}
 Engine::~Engine() = default;
 
-SymbolTable* Engine::symbols() { return &impl_->ctx_->symbols; }
+SymbolTable* Engine::symbols() { return &impl_->ctx_.symbols; }
 Status Engine::Prime() { return impl_->Prime(); }
 Status Engine::Feed(const XmlEvent& event) { return impl_->Feed(event); }
 Status Engine::Finish(StreamStats* stats) { return impl_->Finish(stats); }
 bool Engine::done() const { return impl_->done(); }
 std::size_t Engine::output_events() const { return impl_->output_events(); }
-
-namespace {
-
-// The single-query pull pump: prime, pull events until the engine's output
-// is complete or the document ends, finish. Byte accounting (bytes_in,
-// bytes_in_at_first_output) lives here because only the driver sees the
-// byte source; pumps never consume input, so reading bytes_consumed() after
-// the Feed that triggered the first output matches the old in-loop capture.
-Status PumpEvents(Engine* engine, EventSource* events, StreamStats* stats) {
-  events->BindSymbols(engine->symbols());
-  std::size_t bytes_at_first_output = 0;
-  bool saw_output = false;
-  auto note_output = [&]() {
-    if (!saw_output && engine->output_events() > 0) {
-      saw_output = true;
-      bytes_at_first_output = events->bytes_consumed();
-    }
-  };
-  auto fill_bytes = [&]() {
-    if (stats != nullptr) {
-      stats->bytes_in = events->bytes_consumed();
-      stats->bytes_in_at_first_output = bytes_at_first_output;
-    }
-  };
-  // An engine-side failure (rule miss, step budget, cancellation) is sticky:
-  // Finish is then a stats-only no-op returning the same status, so calling
-  // it here keeps `stats` populated for aborted runs — the cancelled-run
-  // contract serving layers rely on for accounting. Source-side failures
-  // (malformed XML) must NOT Finish: the engine is still healthy and Finish
-  // would synthesize an end-of-document, emitting output for a document
-  // that never ended.
-  auto abort_run = [&](Status st) {
-    engine->Finish(stats);
-    fill_bytes();
-    return st;
-  };
-  Status st = engine->Prime();
-  if (!st.ok()) return abort_run(std::move(st));
-  note_output();
-  XmlEvent event;
-  while (!engine->done()) {
-    XQMFT_RETURN_NOT_OK(events->Next(&event));
-    st = engine->Feed(event);
-    if (!st.ok()) return abort_run(std::move(st));
-    note_output();
-    if (event.type == XmlEventType::kEndOfDocument) break;
-  }
-  st = engine->Finish(stats);
-  fill_bytes();
-  return st;
-}
-
-}  // namespace
-
-Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
-                       StreamOptions options, StreamStats* stats,
-                       StreamScratch* scratch) {
-  Engine engine(mft, sink, options, scratch);
-  SaxParser parser(source, options.sax);
-  return PumpEvents(&engine, &parser, stats);
-}
-
-Status StreamTransformEvents(const Mft& mft, EventSource* events,
-                             OutputSink* sink, StreamOptions options,
-                             StreamStats* stats, StreamScratch* scratch) {
-  Engine engine(mft, sink, options, scratch);
-  return PumpEvents(&engine, events, stats);
-}
-
-Status StreamTransformString(const Mft& mft, const std::string& xml,
-                             OutputSink* sink, StreamOptions options,
-                             StreamStats* stats) {
-  StringSource source(xml);
-  return StreamTransform(mft, &source, sink, options, stats);
-}
 
 }  // namespace xqmft

@@ -62,7 +62,7 @@ struct StreamOptions {
   /// Finish and the sink holds exactly the output committed before the trip
   /// (the cancelled-run contract; see Engine::Finish). Per-run state: must
   /// be null in options baked into a CompiledPlan — serving layers inject a
-  /// per-request token via ParallelOptions/MultiQueryOptions instead.
+  /// per-request token via RunOptions instead.
   const CancelToken* cancel = nullptr;
   /// Cancellation poll cadence in input events. Small enough that a
   /// deadline trips within tens of microseconds of stream time, large
@@ -101,36 +101,6 @@ struct StreamStats {
   std::size_t segments_peak = 0;
 };
 
-/// \brief Reusable mutable run state for streaming one transducer through
-/// many documents: the run-local SymbolTable (seeded once from the
-/// transducer's immutable base table, snapshot back between documents) and
-/// the cell/expr slab arenas, whose free lists and blocks persist across
-/// runs — the second document of a serving loop allocates no blocks and
-/// copies no table.
-///
-/// A scratch is bound to one transducer and single-threaded: at most one
-/// streaming run may use it at a time, and every run through it must pass
-/// the same Mft it was built from. Without a scratch the streaming entry
-/// points build this state per run (copying the base table and growing
-/// fresh slabs), which is correct but pays the per-run setup a serving loop
-/// exists to amortize. QueryRun (core/pipeline.h) is the plan-level wrapper.
-class StreamScratch {
- public:
-  /// Seeds the run table from `mft`'s base table. The dispatch must already
-  /// be compiled (structural for CompiledPlan-built transducers; bare-Mft
-  /// callers get it compiled here as a side effect of symbols()).
-  explicit StreamScratch(const Mft& mft);
-  ~StreamScratch();
-  StreamScratch(const StreamScratch&) = delete;
-  StreamScratch& operator=(const StreamScratch&) = delete;
-
-  struct Impl;  // private to engine.cc
-  Impl* impl() const { return impl_.get(); }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
 /// \brief Push-mode streaming engine core: a passive consumer of XML events.
 ///
 /// The engine does not own an input loop. A driver constructs it over a
@@ -158,15 +128,14 @@ class StreamScratch {
 /// engines of a multi-query run are unaffected. Finish fills `stats` with
 /// whatever was accumulated even when it returns an error.
 ///
-/// Drivers: StreamTransform / StreamTransformEvents below (the single-query
-/// pull pumps) and MultiQueryRun (multiquery/multi_run.h), which fans one
-/// event stream into many engines.
+/// The one feeding loop is MultiQueryRun (multiquery/multi_run.h), which
+/// fans one event stream into one or many engines; every run of
+/// core/pipeline.h goes through it.
 class Engine {
  public:
-  /// `scratch`, when given, must have been built from this same `mft` (see
-  /// StreamScratch); null means the engine owns its run state.
-  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {},
-         StreamScratch* scratch = nullptr);
+  /// The engine owns its run state: a run-local copy of the transducer's
+  /// base symbol table and the cell/expr slab arenas.
+  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -216,29 +185,6 @@ class Engine {
  private:
   std::unique_ptr<Impl> impl_;
 };
-
-/// Streams `source` through `mft` into `sink`. The transducer must
-/// Validate() beforehand. `scratch`, when given, supplies the run's symbol
-/// table and arenas (see StreamScratch); it must have been built from this
-/// same `mft`. A thin pull pump over the push-mode Engine.
-Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
-                       StreamOptions options = {},
-                       StreamStats* stats = nullptr,
-                       StreamScratch* scratch = nullptr);
-
-/// Streams an already-tokenized event stream (e.g. a PretokSource) through
-/// `mft`. The engine binds the source to its run-local symbol table before
-/// pulling, so event ids and rule ids share one id space; options.sax is
-/// ignored (tokenization happened when the events were produced).
-Status StreamTransformEvents(const Mft& mft, EventSource* events,
-                             OutputSink* sink, StreamOptions options = {},
-                             StreamStats* stats = nullptr,
-                             StreamScratch* scratch = nullptr);
-
-/// Convenience wrapper over an in-memory document.
-Status StreamTransformString(const Mft& mft, const std::string& xml,
-                             OutputSink* sink, StreamOptions options = {},
-                             StreamStats* stats = nullptr);
 
 }  // namespace xqmft
 

@@ -141,6 +141,9 @@ class PretokSource : public EventSource {
   std::uint64_t source_size() const { return source_size_; }
   std::uint64_t source_hash() const { return source_hash_; }
   bool header_ok() const { return header_status_.ok(); }
+  /// The whole stream (header included) this source reads; what the
+  /// top-level forest splitter plans shards over.
+  std::string_view data() const { return data_; }
 
  private:
   Status Fail(const std::string& msg) const;

@@ -1,7 +1,5 @@
 #include "xml/symbol_table.h"
 
-#include <algorithm>
-
 namespace xqmft {
 
 namespace {
@@ -61,22 +59,6 @@ SymbolId SymbolTable::Intern(NodeKind kind, std::string_view name) {
 
 SymbolId SymbolTable::Find(NodeKind kind, std::string_view name) const {
   return buckets_[ProbeIndex(Hash(kind, name), kind, name)];
-}
-
-void SymbolTable::TruncateToSnapshot(std::size_t n) {
-  if (n >= entries_.size()) return;
-  entries_.resize(n);
-  // Open-addressing tables cannot delete point-wise without tombstones;
-  // dropping a suffix of the dense id space lets us simply refill the
-  // existing bucket array from the surviving entries.
-  std::fill(buckets_.begin(), buckets_.end(), kInvalidSymbol);
-  std::size_t mask = buckets_.size() - 1;
-  for (std::size_t id = 0; id < entries_.size(); ++id) {
-    const Entry& e = entries_[id];
-    std::size_t i = static_cast<std::size_t>(Hash(e.kind, e.name)) & mask;
-    while (buckets_[i] != kInvalidSymbol) i = (i + 1) & mask;
-    buckets_[i] = static_cast<SymbolId>(id);
-  }
 }
 
 }  // namespace xqmft

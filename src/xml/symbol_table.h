@@ -63,17 +63,6 @@ class SymbolTable {
   /// Number of interned symbols; valid ids are [0, size()).
   std::size_t size() const { return entries_.size(); }
 
-  /// Forgets every symbol interned after the first `n`, rebuilding the probe
-  /// index in place (bucket storage is reused, nothing reallocates). `n`
-  /// must be a point in this table's own intern history — typically the size
-  /// of the immutable base table this one was copied from — so ids below `n`
-  /// keep their meaning and ids >= `n` are handed out again. This is the
-  /// cheap "copy from the immutable base" a serving loop performs between
-  /// documents: a per-run table snapshots back to its plan's base alphabet
-  /// instead of re-copying the base or growing with the union of all inputs
-  /// ever streamed.
-  void TruncateToSnapshot(std::size_t n);
-
  private:
   struct Entry {
     NodeKind kind;

@@ -129,6 +129,15 @@ case "$CASE" in
     OUT=$("$XQMFT" run --query-file "$QFILE" < "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
     expect_contains "$OUT" "<out><up>a</up><up>b</up></out>"
+    # Inputs are set up as for one query: several files (each query's
+    # outputs concatenate in input order) or a pretok cache.
+    OUT=$("$XQMFT" run -q "$QUERY" -q "$Q2" "$XML" "$XML") || fail "exit $?"
+    expect_contains "$OUT" "${WANT}${WANT}"
+    CACHE="$TMPDIR_SMOKE/queries.ptk"
+    OUT=$("$XQMFT" run -q "$QUERY" -q "$Q2" --pretok-cache "$CACHE" "$XML") \
+      || fail "exit $?"
+    expect_contains "$OUT" "<out><up>a</up><up>b</up></out>"
+    test -s "$CACHE" || fail "pretok cache was not written"
     ;;
   run_queries_threads)
     # Multi-query execution is serial; --threads must be rejected loudly.
@@ -305,6 +314,15 @@ q2(eps, y1) -> y1'
     printf '<doc><bogus/></doc>' > "$TMPDIR_SMOKE/bad.xml"
     OUT=$("$XQMFT" validate "$SCHEMA" "$TMPDIR_SMOKE/bad.xml" 2>&1)
     test $? -eq 0 && fail "expected nonzero exit for invalid document"
+    expect_contains "$OUT" "schema violation"
+    # run --schema sees every event, also inside a subtree the query never
+    # reads (the <bogus/> its source projection would skip).
+    HIDDEN="$TMPDIR_SMOKE/hidden.xml"
+    printf '<doc><item>a</item><item>b<bogus/></item></doc>' > "$HIDDEN"
+    "$XQMFT" run "$QUERY" "$HIDDEN" > /dev/null \
+      || fail "the query alone should accept $HIDDEN"
+    OUT=$("$XQMFT" run --schema "$SCHEMA" "$QUERY" "$HIDDEN" 2>&1)
+    test $? -eq 0 && fail "expected nonzero exit for a violation off the query's paths"
     expect_contains "$OUT" "schema violation"
     ;;
   serve_limits)

@@ -15,6 +15,8 @@
 #include "event_trace_util.h"
 #include "lower/lower.h"
 #include "mft/mft.h"
+#include "multiquery/multi_run.h"
+#include "run_util.h"
 #include "schema/schema.h"
 #include "stream/engine.h"
 #include "xml/events.h"
@@ -175,7 +177,7 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
     table_opts.engine = EngineChoice::kTable;
     StringSink want;
     ASSERT_TRUE(
-        StreamTransformString(plan->mft(), xml, &want, table_opts).ok())
+        RunMftXml(plan->mft(), xml, &want, table_opts).ok())
         << q.id;
 
     // Chunked refill: the lowered engine must be insensitive to how the
@@ -187,8 +189,8 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
       ChunkedSource source(xml, chunk);
       StringSink got;
       StreamStats stats;
-      Status st = StreamTransform(plan->mft(), &source, &got, ops_opts,
-                                  &stats);
+      Status st = RunMft(plan->mft(), ParallelInput::Bytes(&source), &got,
+                         ops_opts, &stats);
       ASSERT_TRUE(st.ok()) << q.id << " chunk=" << chunk << ": "
                            << st.ToString();
       ASSERT_EQ(got.str(), want.str()) << q.id << " chunk=" << chunk;
@@ -226,13 +228,13 @@ TEST(LoweredDifferential, MultiTreeForestInput) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(plan->mft(), xml, &want, table_opts).ok());
+  ASSERT_TRUE(RunMftXml(plan->mft(), xml, &want, table_opts).ok());
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
   ASSERT_TRUE(
-      StreamTransformString(plan->mft(), xml, &got, ops_opts, &stats).ok());
+      RunMftXml(plan->mft(), xml, &got, ops_opts, &stats).ok());
   EXPECT_TRUE(stats.used_ops_engine);
   EXPECT_EQ(got.str(), want.str());
 }
@@ -256,13 +258,13 @@ TEST(OpsEngine, ForcedOpsOnUnlowerablePlanFallsBack) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+  ASSERT_TRUE(RunMftXml(m, xml, &want, table_opts).ok());
 
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
-  ASSERT_TRUE(StreamTransformString(m, xml, &got, ops_opts, &stats).ok());
+  ASSERT_TRUE(RunMftXml(m, xml, &got, ops_opts, &stats).ok());
   EXPECT_FALSE(stats.used_ops_engine);
   EXPECT_EQ(stats.cells_arena, 0u);
   EXPECT_GT(stats.cells_created, 0u);
@@ -281,7 +283,7 @@ TEST(OpsEngine, StepBudgetTrips) {
   // Stats are only populated by a successful Finish, so the status is the
   // whole observable here.
   StringSink sink;
-  Status st = StreamTransformString(plan->mft(), xml, &sink, options);
+  Status st = RunMftXml(plan->mft(), xml, &sink, options);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
@@ -298,8 +300,8 @@ TEST(OpsEngine, ValidatorRunsUnderOpsEngine) {
   ok_opts.validator = &ok_validator;
   StringSink ok_sink;
   StreamStats ok_stats;
-  Status ok_st = StreamTransformString(plan->mft(), "<a><b/><b/></a>",
-                                       &ok_sink, ok_opts, &ok_stats);
+  Status ok_st = RunMftXml(plan->mft(), "<a><b/><b/></a>",
+                           &ok_sink, ok_opts, &ok_stats);
   EXPECT_TRUE(ok_st.ok()) << ok_st.ToString();
   EXPECT_TRUE(ok_stats.used_ops_engine);
   EXPECT_EQ(ok_sink.str(), "<out><b></b><b></b></out>");
@@ -309,8 +311,8 @@ TEST(OpsEngine, ValidatorRunsUnderOpsEngine) {
   SchemaValidator bad_validator(schema.value());
   bad_opts.validator = &bad_validator;
   StringSink bad_sink;
-  Status bad_st = StreamTransformString(plan->mft(), "<a><c/></a>",
-                                        &bad_sink, bad_opts);
+  Status bad_st = RunMftXml(plan->mft(), "<a><c/></a>",
+                            &bad_sink, bad_opts);
   EXPECT_FALSE(bad_st.ok());
 }
 
@@ -402,19 +404,32 @@ TEST(Lowerability, MutatorsDropTheLoweringCache) {
     if (m.state_name(q) == "qb") qb = q;
   }
   ASSERT_GE(qb, 0);
-  StreamOptions ops;
-  ops.engine = EngineChoice::kOps;
+  // Streams `m` itself through the shared pump — a plan wrapping it would
+  // hold a copy, and copies never carry the lowering cache.
+  auto stream_m = [&m](StringSink* sink, StreamStats* stats) {
+    MultiPlanSpec spec;
+    spec.mft = &m;
+    spec.options.engine = EngineChoice::kOps;
+    spec.sink = sink;
+    MultiQueryRun run({spec});
+    StringSource bytes("<x/>");
+    SaxParser events(&bytes);
+    Status st = run.Run(&events);
+    *stats = run.results()[0].stats;
+    return st.ok() ? run.results()[0].status : st;
+  };
   StringSink before;
   StreamStats sb;
-  ASSERT_TRUE(StreamTransformString(m, "<x/>", &before, ops, &sb).ok());
+  ASSERT_TRUE(stream_m(&before, &sb).ok());
   EXPECT_TRUE(sb.used_ops_engine);
   EXPECT_EQ(before.str(), "<a></a>");
+  ASSERT_NE(m.lowering_cache(), nullptr);
 
   m.set_initial_state(qb);
   EXPECT_EQ(m.lowering_cache(), nullptr);
   StringSink after;
   StreamStats sa;
-  ASSERT_TRUE(StreamTransformString(m, "<x/>", &after, ops, &sa).ok());
+  ASSERT_TRUE(stream_m(&after, &sa).ok());
   EXPECT_TRUE(sa.used_ops_engine);
   EXPECT_EQ(after.str(), "<b></b>");
 }
@@ -447,12 +462,12 @@ StreamStats DiffOpsVsTable(const Mft& m, const std::string& xml) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  EXPECT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+  EXPECT_TRUE(RunMftXml(m, xml, &want, table_opts).ok());
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
-  Status st = StreamTransformString(m, xml, &got, ops_opts, &stats);
+  Status st = RunMftXml(m, xml, &got, ops_opts, &stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(stats.used_ops_engine);
   EXPECT_EQ(got.str(), want.str());
@@ -487,38 +502,6 @@ TEST(RopeRegisters, GrowthAcrossArenaChunks) {
   EXPECT_GT(stats.peak_bytes, 64u * 1024u);
 }
 
-TEST(RopeRegisters, ScratchReuseBetweenDocuments) {
-  Mft m = MustParseMft(kRopeCollectMft);
-  ASSERT_TRUE(m.Validate().ok());
-  m.dispatch();
-  ASSERT_NE(lower::GetLoweredPlan(m), nullptr);
-  // The arena mark/reset discipline: a second document through the same
-  // scratch must not see rope chunks (or prealloc blocks) left over from
-  // the first.
-  const std::string docs[] = {"<a><b>one</b>x<b>two</b></a>",
-                              "<a>just text</a>",
-                              "<a><b/><c><b/></c><b/></a>"};
-  StreamScratch scratch(m);
-  for (const std::string& xml : docs) {
-    StreamOptions table_opts;
-    table_opts.engine = EngineChoice::kTable;
-    StringSink want;
-    ASSERT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-      ChunkedSource source(xml, chunk);
-      StringSink got;
-      StreamStats stats;
-      StreamOptions ops_opts;
-      ops_opts.engine = EngineChoice::kOps;
-      Status st =
-          StreamTransform(m, &source, &got, ops_opts, &stats, &scratch);
-      ASSERT_TRUE(st.ok()) << xml << ": " << st.ToString();
-      EXPECT_TRUE(stats.used_ops_engine);
-      EXPECT_EQ(got.str(), want.str()) << xml << " chunk=" << chunk;
-    }
-  }
-}
-
 TEST(RopeRegisters, StepBudgetTripsMidAppend) {
   Mft m = MustParseMft(kRopeCollectMft);
   ASSERT_TRUE(m.Validate().ok());
@@ -529,7 +512,7 @@ TEST(RopeRegisters, StepBudgetTripsMidAppend) {
   for (int i = 0; i < 64; ++i) xml += "<b/>";
   xml += "</a>";
   StringSink sink;
-  Status st = StreamTransformString(m, xml, &sink, options);
+  Status st = RunMftXml(m, xml, &sink, options);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
@@ -549,7 +532,7 @@ TEST(LoweredDifferential, Section21HybridChunkedRefill) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(plan->mft(), xml, &want, table_opts).ok());
+  ASSERT_TRUE(RunMftXml(plan->mft(), xml, &want, table_opts).ok());
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                             std::size_t{64}, std::size_t{4096}}) {
     ChunkedSource source(xml, chunk);
@@ -558,7 +541,8 @@ TEST(LoweredDifferential, Section21HybridChunkedRefill) {
     StreamOptions ops_opts;
     ops_opts.engine = EngineChoice::kOps;
     Status st =
-        StreamTransform(plan->mft(), &source, &got, ops_opts, &stats);
+        RunMft(plan->mft(), ParallelInput::Bytes(&source), &got, ops_opts,
+               &stats);
     ASSERT_TRUE(st.ok()) << "chunk=" << chunk << ": " << st.ToString();
     EXPECT_EQ(got.str(), want.str()) << "chunk=" << chunk;
     EXPECT_TRUE(stats.used_ops_engine);
@@ -589,8 +573,8 @@ TEST(OpsSegments, SegmentsPeakDoesNotGrowWithDocumentSize) {
     auto plan = MustCompile(QueryById(id).text);
     CountingSink small_sink, large_sink;
     StreamStats small_stats, large_stats;
-    ASSERT_TRUE(plan->StreamString(small, &small_sink, &small_stats).ok());
-    ASSERT_TRUE(plan->StreamString(large, &large_sink, &large_stats).ok());
+    ASSERT_TRUE(RunXml(*plan, small, &small_sink, &small_stats).ok());
+    ASSERT_TRUE(RunXml(*plan, large, &large_sink, &large_stats).ok());
     ASSERT_TRUE(large_stats.used_ops_engine) << id;
     EXPECT_GT(small_stats.segments_peak, 0u) << id;
     EXPECT_EQ(large_stats.segments_peak, small_stats.segments_peak) << id;
@@ -604,7 +588,7 @@ TEST(OpsSegments, DoublePeakStaysWithinTwiceTheInput) {
   auto plan = MustCompile(QueryById("double").text);
   CountingSink sink;
   StreamStats stats;
-  ASSERT_TRUE(plan->StreamString(doc, &sink, &stats).ok());
+  ASSERT_TRUE(RunXml(*plan, doc, &sink, &stats).ok());
   EXPECT_GT(stats.peak_bytes, doc.size() / 2);  // the copy is buffered
   EXPECT_LE(stats.peak_bytes, 2 * doc.size());
 }
@@ -617,7 +601,7 @@ TEST(OpsSegments, CopyQueriesMatchTheTableEngineAtEveryChunkSize) {
     table_opts.engine = EngineChoice::kTable;
     StringSink want;
     ASSERT_TRUE(
-        StreamTransformString(plan->mft(), xml, &want, table_opts).ok())
+        RunMftXml(plan->mft(), xml, &want, table_opts).ok())
         << id;
     for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                               std::size_t{64}, std::size_t{4096}}) {
@@ -627,7 +611,8 @@ TEST(OpsSegments, CopyQueriesMatchTheTableEngineAtEveryChunkSize) {
       StringSink got;
       StreamStats stats;
       Status st =
-          StreamTransform(plan->mft(), &source, &got, ops_opts, &stats);
+          RunMft(plan->mft(), ParallelInput::Bytes(&source), &got, ops_opts,
+                 &stats);
       ASSERT_TRUE(st.ok()) << id << " chunk=" << chunk << ": "
                            << st.ToString();
       EXPECT_TRUE(stats.used_ops_engine) << id;
@@ -644,7 +629,7 @@ TEST(OpsSegments, CancelTripWhileALargeRegionIsBuffered) {
   const std::string doc = TreebankDoc(256 << 10);
   auto plan = MustCompile(QueryById("double").text);
   StringSink want;
-  ASSERT_TRUE(plan->StreamString(doc, &want).ok());
+  ASSERT_TRUE(RunXml(*plan, doc, &want).ok());
 
   StreamOptions options;
   options.engine = EngineChoice::kOps;

@@ -1,28 +1,35 @@
-// Tests for single-pass multi-query streaming (src/multiquery/ and the
-// core/service wiring above it): the push-mode Engine contract, the
-// differential property that one shared pass is byte-identical to per-query
-// serial runs (Figure 3 corpus, text and pretok sources, every refill chunk
-// size 1..64), the single-parse property (the shared source is scanned
-// exactly once regardless of query-set size), union projection soundness
-// (kept ancestor spines — the reparenting counterexample), and per-plan
-// failure isolation.
+// Tests for single-pass multi-query streaming (src/multiquery/ and Run
+// above it): the push-mode Engine contract, the differential property that
+// every pass — one plan or many, source projection on or off — is
+// byte-identical to an independent in-memory oracle (the reference XQuery
+// evaluator; per query, also the plan's transducer interpreted by
+// mft/interp; Figure 3 corpus, text and pretok sources, every refill chunk
+// size 1..64), the single-parse
+// property (the shared source is scanned exactly once regardless of
+// query-set size), union projection soundness (kept ancestor spines — the
+// reparenting counterexample), and per-plan failure isolation.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "event_trace_util.h"
+#include "run_util.h"
 #include "multiquery/multi_run.h"
 #include "multiquery/projection.h"
 #include "multiquery/union_projection.h"
 #include "stream/engine.h"
 #include "xml/events.h"
+#include "xml/forest.h"
 #include "xml/pretok.h"
 #include "xml/sax_parser.h"
+#include "xquery/ast.h"
+#include "xquery/evaluator.h"
 
 namespace xqmft {
 namespace {
@@ -45,16 +52,39 @@ std::vector<const CompiledPlan*> Raw(const Plans& plans) {
   return raw;
 }
 
-std::vector<std::string> SerialOutputs(const Plans& plans,
+// The independent oracle: each query evaluated over the whole document in
+// memory by the reference XQuery evaluator (xquery/evaluator.h, the [[P]]
+// side of Theorem 1) — no transducer, no streaming engine, no source
+// projection. (The transducer interpreter behind CompiledPlan::Evaluate is
+// call-by-value and takes seconds per predicate query at 16 KB, so the
+// per-query differential below uses it at 8 KB only.)
+std::vector<std::string> OracleOutputs(const std::vector<std::string>& texts,
                                        const std::string& xml) {
+  Result<Forest> doc = ParseXmlForest(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   std::vector<std::string> out;
-  for (const auto& p : plans) {
+  for (const std::string& text : texts) {
+    Result<std::unique_ptr<QueryExpr>> query = ParseQuery(text);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
     StringSink sink;
-    Status st = p->StreamString(xml, &sink);
-    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (query.ok() && doc.ok()) {
+      Result<Forest> result = EvaluateQuery(*query.value(), doc.value());
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) EmitForest(result.value(), &sink);
+    }
     out.push_back(sink.str());
   }
   return out;
+}
+
+// One run of `plans` over `input`, each plan into its own StringSink.
+Status RunSet(const Plans& plans, ParallelInput input,
+              std::vector<StringSink>* sinks, RunResult* result,
+              const RunOptions& options = {}) {
+  sinks->assign(plans.size(), StringSink());
+  std::vector<OutputSink*> sink_ptrs;
+  for (StringSink& s : *sinks) sink_ptrs.push_back(&s);
+  return Run(Raw(plans), {std::move(input)}, sink_ptrs, options, result);
 }
 
 // The first `n` Figure 3 queries: n=1,2 are fully projectable; n>=3 include
@@ -105,7 +135,7 @@ TEST(PushEngine, ManualFeedMatchesPullPump) {
   const std::string xml = "<doc><a>1</a><b>skip</b><a>2</a></doc>";
 
   StringSink serial;
-  ASSERT_TRUE(plan.value()->StreamString(xml, &serial).ok());
+  ASSERT_TRUE(RunXml(*plan.value(), xml, &serial).ok());
 
   StringSink pushed;
   Engine engine(plan.value()->mft(), &pushed,
@@ -163,27 +193,67 @@ TEST(PushEngine, ErrorsAreSticky) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: single pass vs per-query serial runs
+// Differential: every pass vs the in-memory oracles
+
+TEST(MultiQuery, EveryFig3QueryProjectedMatchesTheOracle) {
+  // One-plan runs take the union projection like any pass; this pins each
+  // Figure 3 query's own projection (not just the multi-query unions, where
+  // q04 switches it off) against the interpreter.
+  const std::string xml = XmarkDoc(8 * 1024);
+  Result<Forest> doc = ParseXmlForest(xml);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  StringSource src(xml);
+  std::string pretok;
+  ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  std::size_t skipping = 0;
+  for (const BenchQuery& q : Figure3Queries()) {
+    Plans plans = CompileSet({q.text});
+    Result<Forest> evaluated = plans[0]->Evaluate(doc.value());
+    ASSERT_TRUE(evaluated.ok())
+        << q.id << ": " << evaluated.status().ToString();
+    StringSink oracle;
+    EmitForest(evaluated.value(), &oracle);
+    const std::string& want = oracle.str();
+    const bool projectable = !plans[0]->projection().whole_document;
+    std::vector<StringSink> sinks;
+    RunResult result;
+    for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+      ChunkedSource source(xml, chunk);
+      Status st =
+          RunSet(plans, ParallelInput::Bytes(&source), &sinks, &result);
+      ASSERT_TRUE(st.ok()) << q.id << " chunk=" << chunk << ": "
+                           << st.ToString();
+      ASSERT_EQ(sinks[0].str(), want) << q.id << " chunk=" << chunk;
+      EXPECT_EQ(result.pass.projection_enabled, projectable) << q.id;
+    }
+    ASSERT_TRUE(
+        RunSet(plans, ParallelInput::PretokBytes(pretok), &sinks, &result)
+            .ok())
+        << q.id;
+    EXPECT_EQ(sinks[0].str(), want) << q.id << " pretok";
+    if (result.pass.events_skipped > 0) ++skipping;
+  }
+  // The selective queries really do skip at the source.
+  EXPECT_GT(skipping, 0u);
+}
 
 TEST(MultiQuery, Fig3DifferentialTextAllChunkSizes) {
   const std::string xml = XmarkDoc(4 * 1024);
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
     Plans plans = CompileSet(Fig3Set(n));
-    std::vector<std::string> want = SerialOutputs(plans, xml);
+    std::vector<std::string> want = OracleOutputs(Fig3Set(n), xml);
     for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
-      std::vector<StringSink> sinks(n);
-      std::vector<OutputSink*> sink_ptrs;
-      for (auto& s : sinks) sink_ptrs.push_back(&s);
       ChunkedSource source(xml, chunk);
-      std::vector<MultiPlanResult> results;
-      MultiQueryStats run_stats;
-      Status st = StreamAllTransform(Raw(plans), &source, sink_ptrs, {},
-                                     &results, &run_stats);
+      std::vector<StringSink> sinks;
+      RunResult result;
+      Status st =
+          RunSet(plans, ParallelInput::Bytes(&source), &sinks, &result);
       ASSERT_TRUE(st.ok()) << "n=" << n << " chunk=" << chunk << ": "
                            << st.ToString();
-      ASSERT_EQ(results.size(), n);
+      ASSERT_EQ(result.plans.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+        ASSERT_TRUE(result.plans[i].status.ok())
+            << result.plans[i].status.ToString();
         EXPECT_EQ(sinks[i].str(), want[i])
             << "n=" << n << " chunk=" << chunk << " plan=" << i;
       }
@@ -198,17 +268,15 @@ TEST(MultiQuery, Fig3DifferentialPretok) {
   ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
     Plans plans = CompileSet(Fig3Set(n));
-    std::vector<std::string> want = SerialOutputs(plans, xml);
-    std::vector<StringSink> sinks(n);
-    std::vector<OutputSink*> sink_ptrs;
-    for (auto& s : sinks) sink_ptrs.push_back(&s);
-    std::vector<MultiPlanResult> results;
-    Status st = StreamAllTransformInput(Raw(plans),
-                                        ParallelInput::PretokBytes(pretok),
-                                        sink_ptrs, {}, &results, nullptr);
+    std::vector<std::string> want = OracleOutputs(Fig3Set(n), xml);
+    std::vector<StringSink> sinks;
+    RunResult result;
+    Status st =
+        RunSet(plans, ParallelInput::PretokBytes(pretok), &sinks, &result);
     ASSERT_TRUE(st.ok()) << st.ToString();
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+      ASSERT_TRUE(result.plans[i].status.ok())
+          << result.plans[i].status.ToString();
       EXPECT_EQ(sinks[i].str(), want[i]) << "n=" << n << " plan=" << i;
     }
   }
@@ -217,19 +285,16 @@ TEST(MultiQuery, Fig3DifferentialPretok) {
 TEST(MultiQuery, DifferentialHoldsWithProjectionOff) {
   const std::string xml = XmarkDoc(16 * 1024);
   Plans plans = CompileSet(Fig3Set(4));
-  std::vector<std::string> want = SerialOutputs(plans, xml);
-  std::vector<StringSink> sinks(plans.size());
-  std::vector<OutputSink*> sink_ptrs;
-  for (auto& s : sinks) sink_ptrs.push_back(&s);
-  StringSource source(xml);
-  MultiQueryOptions options;
+  std::vector<std::string> want = OracleOutputs(Fig3Set(4), xml);
+  RunOptions options;
   options.union_projection = false;
-  MultiQueryStats run_stats;
-  ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, options,
-                                 nullptr, &run_stats)
-                  .ok());
-  EXPECT_FALSE(run_stats.projection_enabled);
-  EXPECT_EQ(run_stats.events_skipped, 0u);
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(
+      RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result, options)
+          .ok());
+  EXPECT_FALSE(result.pass.projection_enabled);
+  EXPECT_EQ(result.pass.events_skipped, 0u);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     EXPECT_EQ(sinks[i].str(), want[i]);
   }
@@ -244,21 +309,18 @@ TEST(MultiQuery, SharedSourceScannedExactlyOnce) {
   std::size_t one_pass = 0;
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
     Plans plans = CompileSet(Fig3Set(n));
-    std::vector<StringSink> sinks(n);
-    std::vector<OutputSink*> sink_ptrs;
-    for (auto& s : sinks) sink_ptrs.push_back(&s);
     CountingSource source(xml);
-    MultiQueryStats run_stats;
-    ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, {},
-                                   nullptr, &run_stats)
-                    .ok());
+    std::vector<StringSink> sinks;
+    RunResult result;
+    ASSERT_TRUE(
+        RunSet(plans, ParallelInput::Bytes(&source), &sinks, &result).ok());
     // Bytes leaving the source equal one full scan — not n scans. (All
     // Figure 3 streams read to the end of the document, so the count is the
     // same across n; the first iteration pins it.)
     if (one_pass == 0) one_pass = source.bytes_read();
     EXPECT_EQ(source.bytes_read(), one_pass) << "n=" << n;
     EXPECT_EQ(source.bytes_read(), xml.size()) << "n=" << n;
-    EXPECT_EQ(run_stats.bytes_in, xml.size()) << "n=" << n;
+    EXPECT_EQ(result.pass.bytes_in, xml.size()) << "n=" << n;
   }
 }
 
@@ -270,24 +332,19 @@ TEST(MultiQuery, ProjectionSkipsEventsWithoutChangingOutput) {
   // Two projectable queries (Q1, Q2): people and open-auction subtrees are
   // kept, everything else (regions, catgraph, closed auctions) is skipped.
   Plans plans = CompileSet(Fig3Set(2));
-  std::vector<std::string> want = SerialOutputs(plans, xml);
-  std::vector<StringSink> sinks(plans.size());
-  std::vector<OutputSink*> sink_ptrs;
-  for (auto& s : sinks) sink_ptrs.push_back(&s);
-  StringSource source(xml);
-  std::vector<MultiPlanResult> results;
-  MultiQueryStats run_stats;
-  ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, {}, &results,
-                                 &run_stats)
-                  .ok());
-  EXPECT_TRUE(run_stats.projection_enabled);
-  EXPECT_GT(run_stats.events_skipped, 0u);
-  EXPECT_GT(run_stats.events_total, run_stats.events_skipped);
+  std::vector<std::string> want = OracleOutputs(Fig3Set(2), xml);
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result).ok());
+  const MultiQueryStats& pass = result.pass;
+  EXPECT_TRUE(pass.projection_enabled);
+  EXPECT_GT(pass.events_skipped, 0u);
+  EXPECT_GT(pass.events_total, pass.events_skipped);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     EXPECT_EQ(sinks[i].str(), want[i]);
     // Engines see only the surviving events.
-    EXPECT_EQ(results[i].events_fed,
-              run_stats.events_total - run_stats.events_skipped);
+    EXPECT_EQ(result.plans[i].events_fed,
+              pass.events_total - pass.events_skipped);
   }
 }
 
@@ -303,37 +360,28 @@ TEST(MultiQuery, ProjectionKeepsAncestorSpines) {
       "<out>{ for $v in $input//d/e return <de></de> }</out>"};
   const std::string xml = "<r><c><x><d><e/></d></x></c></r>";
   Plans plans = CompileSet(texts);
-  std::vector<std::string> want = SerialOutputs(plans, xml);
+  std::vector<std::string> want = OracleOutputs(texts, xml);
   EXPECT_EQ(want[0], "<out></out>");    // no //c/d in the document
   EXPECT_EQ(want[1], "<out><de></de></out>");
-  std::vector<StringSink> sinks(2);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1]};
-  StringSource source(xml);
-  MultiQueryStats run_stats;
-  ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, {}, nullptr,
-                                 &run_stats)
-                  .ok());
-  EXPECT_TRUE(run_stats.projection_enabled);
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result).ok());
+  EXPECT_TRUE(result.pass.projection_enabled);
   EXPECT_EQ(sinks[0].str(), want[0]);
   EXPECT_EQ(sinks[1].str(), want[1]);
 }
 
 TEST(MultiQuery, ConstantQueriesSkipTheWholeDocument) {
-  const std::vector<std::string> texts = {"<a>x</a>", "<b>y</b>"};
-  Plans plans = CompileSet(texts);
-  std::vector<StringSink> sinks(2);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1]};
+  Plans plans = CompileSet({"<a>x</a>", "<b>y</b>"});
   const std::string xml = "<doc><p>1</p><q><r>2</r></q></doc>";
-  StringSource source(xml);
-  MultiQueryStats run_stats;
-  ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, {}, nullptr,
-                                 &run_stats)
-                  .ok());
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result).ok());
   EXPECT_EQ(sinks[0].str(), "<a>x</a>");
   EXPECT_EQ(sinks[1].str(), "<b>y</b>");
-  EXPECT_TRUE(run_stats.projection_enabled);
+  EXPECT_TRUE(result.pass.projection_enabled);
   // A query set that reads nothing skips every element of the document.
-  EXPECT_EQ(run_stats.events_skipped, run_stats.events_total);
+  EXPECT_EQ(result.pass.events_skipped, result.pass.events_total);
 }
 
 TEST(MultiQuery, UnprojectablePlanDisablesProjection) {
@@ -342,16 +390,13 @@ TEST(MultiQuery, UnprojectablePlanDisablesProjection) {
   Plans plans = CompileSet({Fig3Set(3)[2], Fig3Set(1)[0]});
   EXPECT_TRUE(plans[0]->projection().whole_document);
   EXPECT_FALSE(plans[1]->projection().whole_document);
-  const std::string xml = XmarkDoc(8 * 1024);
-  std::vector<StringSink> sinks(2);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1]};
-  StringSource source(xml);
-  MultiQueryStats run_stats;
-  ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, {}, nullptr,
-                                 &run_stats)
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(RunSet(plans, ParallelInput::XmlText(XmarkDoc(8 * 1024)),
+                     &sinks, &result)
                   .ok());
-  EXPECT_FALSE(run_stats.projection_enabled);
-  EXPECT_EQ(run_stats.events_skipped, 0u);
+  EXPECT_FALSE(result.pass.projection_enabled);
+  EXPECT_EQ(result.pass.events_skipped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +405,7 @@ TEST(MultiQuery, UnprojectablePlanDisablesProjection) {
 TEST(MultiQuery, PlanFailureLeavesSiblingsIntact) {
   const std::string xml = XmarkDoc(8 * 1024);
   Plans plans = CompileSet(Fig3Set(3));
-  std::vector<std::string> want = SerialOutputs(plans, xml);
+  std::vector<std::string> want = OracleOutputs(Fig3Set(3), xml);
   // Recompile the middle plan with a step budget it must blow mid-stream.
   PipelineOptions tiny;
   tiny.stream.max_steps = 50;
@@ -368,17 +413,14 @@ TEST(MultiQuery, PlanFailureLeavesSiblingsIntact) {
   ASSERT_TRUE(failing.ok());
   plans[1] = failing.value();
 
-  std::vector<StringSink> sinks(3);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1], &sinks[2]};
-  StringSource source(xml);
-  std::vector<MultiPlanResult> results;
-  Status st =
-      StreamAllTransform(Raw(plans), &source, sink_ptrs, {}, &results, nullptr);
-  // With results requested and surviving siblings, the run itself is OK.
+  std::vector<StringSink> sinks;
+  RunResult result;
+  Status st = RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result);
+  // With a result requested and surviving siblings, the run itself is OK.
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_FALSE(results[1].status.ok());
-  EXPECT_TRUE(results[2].status.ok());
+  EXPECT_TRUE(result.plans[0].status.ok());
+  EXPECT_FALSE(result.plans[1].status.ok());
+  EXPECT_TRUE(result.plans[2].status.ok());
   EXPECT_EQ(sinks[0].str(), want[0]);
   EXPECT_EQ(sinks[2].str(), want[2]);
 }
@@ -388,16 +430,13 @@ TEST(MultiQuery, AllPlansFailingFailsTheRun) {
   tiny.stream.max_steps = 1;
   auto plan = CompiledPlan::Compile(Fig3Set(1)[0], tiny);
   ASSERT_TRUE(plan.ok());
-  std::vector<StringSink> sinks(1);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0]};
-  const std::string xml = XmarkDoc(4 * 1024);
-  StringSource source(xml);
-  std::vector<MultiPlanResult> results;
-  Status st = StreamAllTransform({plan.value().get()}, &source, sink_ptrs,
-                                 {}, &results, nullptr);
+  std::vector<StringSink> sinks;
+  RunResult result;
+  Status st = RunSet({plan.value()}, ParallelInput::XmlText(XmarkDoc(4 * 1024)),
+                     &sinks, &result);
   EXPECT_FALSE(st.ok());
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].status.ok());
+  ASSERT_EQ(result.plans.size(), 1u);
+  EXPECT_FALSE(result.plans[0].status.ok());
 }
 
 TEST(MultiQuery, MixedTokenizationRejected) {
@@ -407,11 +446,9 @@ TEST(MultiQuery, MixedTokenizationRejected) {
   auto b = CompiledPlan::Compile(Fig3Set(2)[1], keep_ws);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  StringSink s1, s2;
-  std::vector<OutputSink*> sink_ptrs{&s1, &s2};
-  StringSource source("<doc/>");
-  Status st = StreamAllTransform({a.value().get(), b.value().get()},
-                                 &source, sink_ptrs, {}, nullptr, nullptr);
+  std::vector<StringSink> sinks;
+  Status st = RunSet({a.value(), b.value()}, ParallelInput::XmlText("<doc/>"),
+                     &sinks, nullptr);
   EXPECT_FALSE(st.ok());
 }
 

@@ -31,6 +31,7 @@
 #include "data/generators.h"
 #include "net/scheduler.h"
 #include "net/server.h"
+#include "run_util.h"
 #include "service/fault.h"
 #include "service/json.h"
 #include "service/serve.h"
@@ -163,8 +164,8 @@ TEST(EngineCancelContractTest, ExpiredDeadlineTripsAsDeadlineExceeded) {
     options.cancel_check_events = 1;
     StringSink sink;
     StreamStats stats;
-    Status st = StreamTransformString(plan.value()->mft(), BigDoc(300),
-                                      &sink, options, &stats);
+    Status st = RunMftXml(plan.value()->mft(), BigDoc(300), &sink, options,
+                          &stats);
     EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
     // The run aborted well before consuming the input.
     EXPECT_LT(stats.bytes_in, BigDoc(300).size());
@@ -179,17 +180,16 @@ TEST(DeadlineTest, TripsMidDocumentWithinTolerance) {
   const std::string doc = BigDoc(200000);  // ~3.6 MB
 
   StringSink full;
-  ASSERT_TRUE(
-      StreamTransformString(plan.value()->mft(), doc, &full).ok());
+  ASSERT_TRUE(RunXml(*plan.value(), doc, &full).ok());
 
   constexpr std::uint64_t kDeadlineMs = 10;
-  StreamOptions options;
   CancelToken token;
   token.SetDeadlineAfterMs(kDeadlineMs);
-  options.cancel = &token;
+  RunOptions run;
+  run.cancel = &token;
   StringSink sink;
   Clock::time_point start = Clock::now();
-  Status st = StreamTransformString(plan.value()->mft(), doc, &sink, options);
+  Status st = RunXml(*plan.value(), doc, &sink, nullptr, run);
   double elapsed = ElapsedMs(start);
 
   if (st.ok()) {
@@ -1031,7 +1031,9 @@ TEST(NetServerTest, PromptReaderReceivesAResponseLargerThanTheWriteBuffer) {
   auto plan = CompiledPlan::Compile(query);
   ASSERT_TRUE(plan.ok());
   StringSink want;
-  ASSERT_TRUE(plan.value()->StreamFile(file.path, &want).ok());
+  ASSERT_TRUE(xqmft::Run({plan.value().get()},
+                         {ParallelInput::XmlFile(file.path)}, {&want})
+                  .ok());
   NetServerOptions options;
   ASSERT_GT(want.str().size(), options.max_write_buffer_bytes);
   options.max_write_buffer_bytes = 1u << 20;
@@ -1356,7 +1358,7 @@ TEST(NetServerTest, CoalescedOutputsMatchIndependentRuns) {
       auto plan = CompiledPlan::Compile(texts.back());
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
       StringSink sink;
-      ASSERT_TRUE(plan.value()->StreamString(doc.value(), &sink).ok());
+      ASSERT_TRUE(RunXml(*plan.value(), doc.value(), &sink).ok());
       expected.push_back(sink.str());
     }
 

@@ -18,6 +18,7 @@
 #include "parallel/merge_sink.h"
 #include "parallel/pretok_split.h"
 #include "parallel/sharded_executor.h"
+#include "run_util.h"
 #include "stream/engine.h"
 #include "util/rng.h"
 #include "xml/events.h"
@@ -64,6 +65,16 @@ std::vector<std::string> CorpusDocSet(int seed) {
     docs.push_back(ForestToXml(doc));
   }
   return docs;
+}
+
+// Single-document sharding: one in-memory pretok stream split into at most
+// `shards` work items (0 = one per top-level tree) across `threads` workers.
+Status RunSharded(const CompiledPlan& plan, const std::string& pretok,
+                  std::size_t shards, std::size_t threads, OutputSink* sink) {
+  RunOptions run;
+  run.shards = shards;
+  run.threads = threads;
+  return Run({&plan}, {ParallelInput::PretokBytes(pretok)}, {sink}, run);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,8 +157,6 @@ TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
   }
   for (std::size_t threads : {2u, 4u, 8u}) {
     StringSink out;
-    ParallelOptions par;
-    par.threads = threads;
     Status st = ShardedExecutor::Run(
         kItems,
         [](std::size_t i, OutputSink* sink) {
@@ -158,7 +167,7 @@ TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
           sink->EndElement(name);
           return Status::OK();
         },
-        &out, par);
+        &out, threads);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(out.str(), expected) << "threads=" << threads;
   }
@@ -168,8 +177,6 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
   constexpr std::size_t kItems = 16;
   constexpr std::size_t kFailing = 7;
   StringSink out;
-  ParallelOptions par;
-  par.threads = 4;
   Status st = ShardedExecutor::Run(
       kItems,
       [](std::size_t i, OutputSink* sink) -> Status {
@@ -180,7 +187,7 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
         }
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/4);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("item 7"), std::string::npos);
   // Downstream holds an in-order prefix of the successful items before the
@@ -201,8 +208,6 @@ TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
   // Two failing items: the run's status must be the lower-index one
   // whenever both committed (with cancellation the higher may be skipped,
   // but the reported error is never the higher while the lower committed).
-  ParallelOptions par;
-  par.threads = 2;
   StringSink out;
   Status st = ShardedExecutor::Run(
       4,
@@ -215,7 +220,7 @@ TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
         if (i == 2) return Status::Internal("error in item 2");
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/2);
   ASSERT_FALSE(st.ok());
   // The run reports exactly one of the two item errors (the lowest-index
   // committed one; which items committed depends on cancellation timing).
@@ -228,8 +233,6 @@ TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
   // threads = 1 takes the no-thread fast path, but the error contract must
   // not change: a failing item's partial output never reaches the sink.
   StringSink out;
-  ParallelOptions par;
-  par.threads = 1;
   Status st = ShardedExecutor::Run(
       3,
       [](std::size_t i, OutputSink* sink) -> Status {
@@ -237,16 +240,35 @@ TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
         if (i == 1) return Status::Internal("item 1 failed mid-output");
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/1);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("item 1"), std::string::npos);
   EXPECT_EQ(out.str(), "i0;");  // item 1's partial "i1;" must not leak
 }
 
+TEST(ShardedExecutorTest, OneItemStreamsUnstaged) {
+  // A single item has nothing to order or isolate from: it writes straight
+  // into the downstream sink, so output arrives as it is emitted (and a
+  // failing item's partial output stays there), at any thread count.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    StringSink out;
+    Status st = ShardedExecutor::Run(
+        1,
+        [&out](std::size_t, OutputSink* sink) -> Status {
+          EXPECT_EQ(sink, &out);
+          sink->Text("partial;");
+          return Status::Internal("item 0 failed mid-output");
+        },
+        &out, threads);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(out.str(), "partial;") << "threads=" << threads;
+  }
+}
+
 TEST(ShardedExecutorTest, ZeroItemsIsANoOp) {
   StringSink out;
   Status st = ShardedExecutor::Run(
-      0, [](std::size_t, OutputSink*) { return Status::OK(); }, &out, {});
+      0, [](std::size_t, OutputSink*) { return Status::OK(); }, &out, 1);
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(out.str(), "");
 }
@@ -260,7 +282,7 @@ class ParallelCorpusEquivalence
 
 TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = std::move(CompiledPlan::Compile(bq.text).ValueOrDie());
   std::vector<std::string> docs = CorpusDocSet(/*seed=*/17);
 
   // Serial baseline: the documents streamed one after another into one
@@ -269,26 +291,27 @@ TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
   std::vector<ParallelInput> text_inputs;
   std::vector<ParallelInput> pretok_inputs;
   for (const std::string& xml : docs) {
-    ASSERT_TRUE(cq->StreamString(xml, &serial).ok()) << bq.id;
+    ASSERT_TRUE(RunXml(*cq, xml, &serial).ok()) << bq.id;
     text_inputs.push_back(ParallelInput::XmlText(xml));
     pretok_inputs.push_back(ParallelInput::PretokBytes(Tokenize(xml)));
   }
 
   for (std::size_t threads : kShardCounts) {
-    ParallelOptions par;
-    par.threads = threads;
+    RunOptions run;
+    run.threads = threads;
     StringSink text_out;
-    Status st = cq->StreamMany(text_inputs, &text_out, par);
+    Status st = xqmft::Run({cq.get()}, text_inputs, {&text_out}, run);
     ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
     EXPECT_EQ(text_out.str(), serial.str())
         << bq.id << " text threads=" << threads;
 
     StringSink pretok_out;
-    std::vector<StreamStats> stats;
-    st = cq->StreamMany(pretok_inputs, &pretok_out, par, &stats);
+    RunResult result;
+    st = xqmft::Run({cq.get()}, pretok_inputs, {&pretok_out}, run, &result);
     ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
     EXPECT_EQ(pretok_out.str(), serial.str())
         << bq.id << " pretok threads=" << threads;
+    const std::vector<StreamStats>& stats = result.plans[0].per_input;
     ASSERT_EQ(stats.size(), docs.size());
     for (const StreamStats& s : stats) EXPECT_GT(s.bytes_in, 0u);
   }
@@ -303,7 +326,7 @@ TEST_P(ParallelCorpusEquivalence, SingleRootedShardingMatchesSerial) {
   // requested, the split finds one top-level tree and the output must be
   // byte-identical to the serial engine over the whole stream.
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = std::move(CompiledPlan::Compile(bq.text).ValueOrDie());
   Rng rng(4242);
   Forest doc;
   doc.push_back(Tree::Element("site", RandomForest(&rng, 4)));
@@ -311,13 +334,14 @@ TEST_P(ParallelCorpusEquivalence, SingleRootedShardingMatchesSerial) {
 
   PretokSource serial_src(bytes);
   StringSink serial;
-  ASSERT_TRUE(cq->StreamEvents(&serial_src, &serial).ok()) << bq.id;
+  ASSERT_TRUE(xqmft::Run({cq.get()}, {ParallelInput::Events(&serial_src)},
+                         {&serial})
+                  .ok())
+      << bq.id;
 
   for (std::size_t shards : kShardCounts) {
-    ParallelOptions par;
-    par.threads = shards;
     StringSink out;
-    Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
+    Status st = RunSharded(*cq, bytes, shards, /*threads=*/shards, &out);
     ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
     EXPECT_EQ(out.str(), serial.str()) << bq.id << " shards=" << shards;
   }
@@ -329,7 +353,7 @@ TEST_P(ParallelCorpusEquivalence, MultiTreeShardingMatchesSerialShardRuns) {
   // input order — byte-identical to running the same shards through the
   // serial engine one by one, for any thread count.
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = std::move(CompiledPlan::Compile(bq.text).ValueOrDie());
   Rng rng(987);
   Forest forest;
   for (int t = 0; t < 7; ++t) {
@@ -345,14 +369,14 @@ TEST_P(ParallelCorpusEquivalence, MultiTreeShardingMatchesSerialShardRuns) {
     StringSink serial;
     for (std::size_t i = 0; i < plan.value().shards.size(); ++i) {
       PretokShardSource src(&plan.value(), i);
-      ASSERT_TRUE(cq->StreamEvents(&src, &serial).ok()) << bq.id;
+      ASSERT_TRUE(
+          xqmft::Run({cq.get()}, {ParallelInput::Events(&src)}, {&serial}).ok())
+          << bq.id;
     }
 
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ParallelOptions par;
-      par.threads = threads;
       StringSink out;
-      Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
+      Status st = RunSharded(*cq, bytes, shards, threads, &out);
       ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
       EXPECT_EQ(out.str(), serial.str())
           << bq.id << " shards=" << shards << " threads=" << threads;
@@ -366,18 +390,16 @@ TEST(ParallelPipelineTest, DefaultShardCountIsMachineIndependent) {
   // it may depend only on the input. Same bytes, different thread counts
   // => byte-identical output, equal to an explicit one-shard-per-tree run.
   auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+      CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie());
   std::string bytes = Tokenize("<a>1</a><a>2</a><a>3</a><a>4</a>");
 
   StringSink per_tree;
-  ASSERT_TRUE(cq->StreamShardedPretok(bytes, 4, &per_tree).ok());
+  ASSERT_TRUE(RunSharded(*cq, bytes, 4, /*threads=*/1, &per_tree).ok());
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{3},
                               std::size_t{8}}) {
-    ParallelOptions par;
-    par.threads = threads;
     StringSink out;
-    ASSERT_TRUE(cq->StreamShardedPretok(bytes, /*shards=*/0, &out, par).ok());
+    ASSERT_TRUE(RunSharded(*cq, bytes, /*shards=*/0, threads, &out).ok());
     EXPECT_EQ(out.str(), per_tree.str()) << "threads=" << threads;
   }
 }
@@ -516,9 +538,9 @@ TEST(PretokSplitTest, EmptyForestYieldsOneEmptyShard) {
 
   // The constant query still emits its constant output once.
   auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/none }</out>").ValueOrDie());
+      CompiledPlan::Compile("<out>{ $input/none }</out>").ValueOrDie());
   StringSink out;
-  ASSERT_TRUE(cq->StreamShardedPretok(bytes, 4, &out).ok());
+  ASSERT_TRUE(RunSharded(*cq, bytes, 4, /*threads=*/1, &out).ok());
   EXPECT_EQ(out.str(), "<out></out>");
 }
 
@@ -531,36 +553,36 @@ TEST(PretokSplitTest, RejectsMalformedStreams) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamMany error handling end to end
+// Document-set error handling end to end
 // ---------------------------------------------------------------------------
 
-TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
+TEST(DocumentSetRunTest, MissingInputSurfacesAsRunError) {
   auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+      CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie());
   std::vector<ParallelInput> inputs;
   inputs.push_back(ParallelInput::XmlText("<a>1</a>"));
   inputs.push_back(ParallelInput::XmlFile("/nonexistent/xqmft.xml"));
   inputs.push_back(ParallelInput::XmlText("<a>3</a>"));
-  ParallelOptions par;
-  par.threads = 2;
+  RunOptions run;
+  run.threads = 2;
   StringSink out;
-  Status st = cq->StreamMany(inputs, &out, par);
+  Status st = xqmft::Run({cq.get()}, inputs, {&out}, run);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("/nonexistent/xqmft.xml"), std::string::npos);
 }
 
-TEST(StreamManyTest, MalformedDocumentAmongManySurfacesItsError) {
+TEST(DocumentSetRunTest, MalformedDocumentAmongManySurfacesItsError) {
   auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+      CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie());
   std::vector<ParallelInput> inputs;
   for (int i = 0; i < 6; ++i) {
     inputs.push_back(ParallelInput::XmlText("<a>ok</a>"));
   }
   inputs.push_back(ParallelInput::XmlText("<a><unclosed></a>"));
-  ParallelOptions par;
-  par.threads = 4;
+  RunOptions run;
+  run.threads = 4;
   StringSink out;
-  Status st = cq->StreamMany(inputs, &out, par);
+  Status st = xqmft::Run({cq.get()}, inputs, {&out}, run);
   ASSERT_FALSE(st.ok());
 }
 

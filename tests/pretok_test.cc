@@ -15,6 +15,7 @@
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "event_trace_util.h"
+#include "run_util.h"
 #include "stream/engine.h"
 #include "util/rng.h"
 #include "xml/events.h"
@@ -312,7 +313,7 @@ class PretokEquivalence
 TEST_P(PretokEquivalence, PretokMatchesTextStreaming) {
   const auto& [id, seed] = GetParam();
   const BenchQuery& bq = QueryById(id);
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = std::move(CompiledPlan::Compile(bq.text).ValueOrDie());
 
   Rng rng(static_cast<std::uint64_t>(seed) * 40009 + 11);
   Forest doc;
@@ -320,12 +321,15 @@ TEST_P(PretokEquivalence, PretokMatchesTextStreaming) {
   std::string xml = ForestToXml(doc);
 
   StringSink text_out;
-  ASSERT_TRUE(cq->StreamString(xml, &text_out).ok()) << bq.id;
+  ASSERT_TRUE(RunXml(*cq, xml, &text_out).ok()) << bq.id;
 
   std::string bytes = Tokenize(xml);
   PretokSource pretok(bytes);
   StringSink pretok_out;
-  ASSERT_TRUE(cq->StreamEvents(&pretok, &pretok_out).ok()) << bq.id;
+  ASSERT_TRUE(xqmft::Run({cq.get()}, {ParallelInput::Events(&pretok)},
+                         {&pretok_out})
+                  .ok())
+      << bq.id;
 
   EXPECT_EQ(pretok_out.str(), text_out.str()) << bq.id;
 

@@ -13,7 +13,7 @@
 //      and thread counts, single-document and document-set shapes)
 //   7. the optimized MFT through the QueryCache (service/query_cache):
 //      cold lookup compiles, warm lookup hits — both byte-identical to the
-//      direct CompiledQuery/streaming output
+//      direct streaming output
 //   9. the lowered opcode engine vs the table engine (lower/): when the
 //      plan lowers, a forced --engine=ops run must be byte-identical to a
 //      forced table run; when it does not, the ops request must fall back
@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "gcx/gcx_engine.h"
@@ -37,7 +38,7 @@
 #include "service/query_cache.h"
 #include "mft/interp.h"
 #include "mft/optimize.h"
-#include "parallel/sharded_executor.h"
+#include "run_util.h"
 #include "stream/engine.h"
 #include "translate/translate.h"
 #include "util/rng.h"
@@ -264,7 +265,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
 
     // 4. Optimized MFT, streamed.
     StringSink stream_sink;
-    Status st = StreamTransformString(opt, xml, &stream_sink);
+    Status st = RunMftXml(opt, xml, &stream_sink);
     ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
     ASSERT_EQ(stream_sink.str(), want.str())
         << "streaming vs reference\nquery: " << text << "\ndoc: " << xml;
@@ -288,22 +289,20 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       std::string pretok;
       Status tst = PretokenizeXml(&doc_src, {}, &pretok);
       ASSERT_TRUE(tst.ok()) << tst.ToString();
-      std::size_t shard_count = 1 + rng.Below(4);
-      ParallelOptions serial_par;
-      serial_par.threads = 1;
+      const std::vector<ParallelInput> pretok_input = {
+          ParallelInput::PretokBytes(pretok)};
+      RunOptions sharded;
+      sharded.shards = 1 + rng.Below(4);
       StringSink sharded_serial;
-      Status ss = StreamShardedPretokTransform(plan, pretok, shard_count,
-                                               &sharded_serial, serial_par);
+      Status ss = xqmft::Run({&plan}, pretok_input, {&sharded_serial}, sharded);
       ASSERT_TRUE(ss.ok()) << text << "\n" << ss.ToString();
-      ParallelOptions par;
-      par.threads = 2 + rng.Below(3);
+      sharded.threads = 2 + rng.Below(3);
       StringSink sharded_par;
-      Status sp = StreamShardedPretokTransform(plan, pretok, shard_count,
-                                               &sharded_par, par);
+      Status sp = xqmft::Run({&plan}, pretok_input, {&sharded_par}, sharded);
       ASSERT_TRUE(sp.ok()) << text << "\n" << sp.ToString();
       ASSERT_EQ(sharded_par.str(), sharded_serial.str())
           << "parallel vs serial sharded\nquery: " << text << "\ndoc: "
-          << xml << "\nshards: " << shard_count;
+          << xml << "\nshards: " << sharded.shards;
       if (doc.size() <= 1) {
         ASSERT_EQ(sharded_par.str(), want.str())
             << "sharded vs reference (single tree)\nquery: " << text
@@ -319,27 +318,28 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
   // parallel workers must concatenate to the serial per-doc outputs, in
   // input order.
   {
-    ParallelOptions par;
-    par.threads = 1 + rng.Below(4);
+    RunOptions run;
+    run.threads = 1 + rng.Below(4);
     StringSink many;
-    Status st = StreamManyTransform(plan, doc_set, &many, par);
+    Status st = xqmft::Run({&plan}, doc_set, {&many}, run);
     ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
     ASSERT_EQ(many.str(), doc_set_serial)
         << "document-set parallel vs serial\nquery: " << text
-        << "\nthreads: " << par.threads;
+        << "\nthreads: " << run.threads;
   }
 
   // 7. Compile-once cache: a cold QueryCache lookup compiles a plan whose
-  // output over the document set is byte-identical to the direct
-  // CompiledQuery/streaming path; the warm lookup hits the same shared plan
-  // (exactly one compile) and streams identically.
+  // output over the document set — with the compiled plan's source
+  // projection on — is byte-identical to the direct streaming path; the
+  // warm lookup hits the same shared plan (exactly one compile) and streams
+  // identically.
   {
     QueryCache cache;
     auto cold = cache.Lookup(text);
     ASSERT_TRUE(cold.ok()) << text << "\n" << cold.status().ToString();
     EXPECT_FALSE(cold.value().hit);
     StringSink cold_sink;
-    Status cs = cold.value().plan->StreamMany(doc_set, &cold_sink);
+    Status cs = xqmft::Run({cold.value().plan.get()}, doc_set, {&cold_sink});
     ASSERT_TRUE(cs.ok()) << text << "\n" << cs.ToString();
     ASSERT_EQ(cold_sink.str(), doc_set_serial)
         << "cached plan (cold) vs direct\nquery: " << text;
@@ -350,7 +350,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     EXPECT_EQ(warm.value().plan.get(), cold.value().plan.get())
         << "warm lookup must share the cold lookup's plan";
     StringSink warm_sink;
-    Status ws = warm.value().plan->StreamMany(doc_set, &warm_sink);
+    Status ws = xqmft::Run({warm.value().plan.get()}, doc_set, {&warm_sink});
     ASSERT_TRUE(ws.ok()) << text << "\n" << ws.ToString();
     ASSERT_EQ(warm_sink.str(), doc_set_serial)
         << "cached plan (warm) vs direct\nquery: " << text;
@@ -374,14 +374,14 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
                                           plan_b.value().get()};
     for (const ParallelInput& doc : doc_set) {
       StringSink serial_a, serial_b;
-      ASSERT_TRUE(plan_a.value()->StreamString(doc.value, &serial_a).ok())
+      ASSERT_TRUE(RunXml(*plan_a.value(), doc.value, &serial_a).ok())
           << text;
-      ASSERT_TRUE(plan_b.value()->StreamString(doc.value, &serial_b).ok())
+      ASSERT_TRUE(RunXml(*plan_b.value(), doc.value, &serial_b).ok())
           << text2;
       StringSink multi_a, multi_b;
       std::vector<OutputSink*> sinks{&multi_a, &multi_b};
       StringSource source(doc.value);
-      Status st = StreamAllTransform(pair, &source, sinks);
+      Status st = xqmft::Run(pair, {ParallelInput::Bytes(&source)}, sinks);
       ASSERT_TRUE(st.ok()) << text << "\n+ " << text2 << "\n"
                            << st.ToString();
       ASSERT_EQ(multi_a.str(), serial_a.str())
@@ -420,8 +420,8 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       table_opts.engine = EngineChoice::kTable;
       StringSink table_sink;
       StreamStats table_stats;
-      Status ts = StreamTransformString(opt, doc.value, &table_sink,
-                                        table_opts, &table_stats);
+      Status ts =
+          RunMftXml(opt, doc.value, &table_sink, table_opts, &table_stats);
       ASSERT_TRUE(ts.ok()) << text << "\n" << ts.ToString();
       ASSERT_FALSE(table_stats.used_ops_engine) << text;
 
@@ -429,8 +429,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       ops_opts.engine = EngineChoice::kOps;
       StringSink ops_sink;
       StreamStats ops_stats;
-      Status os = StreamTransformString(opt, doc.value, &ops_sink, ops_opts,
-                                        &ops_stats);
+      Status os = RunMftXml(opt, doc.value, &ops_sink, ops_opts, &ops_stats);
       ASSERT_TRUE(os.ok()) << text << "\n" << os.ToString();
       ASSERT_EQ(ops_stats.used_ops_engine, lowers) << text;
       ASSERT_EQ(ops_stats.hybrid_plan, hybrid) << text;

@@ -6,8 +6,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/pipeline.h"
 #include "mft/mft.h"
+#include "run_util.h"
 #include "schema/schema.h"
 #include "stream/engine.h"
 #include "xml/events.h"
@@ -131,7 +134,7 @@ TEST(SchemaStreamTest, ValidationDuringTransformation) {
     StreamOptions opts;
     opts.validator = &v;
     StringSink sink;
-    Status st = StreamTransformString(copy, "<r><a/><a/><b/></r>", &sink, opts);
+    Status st = RunMftXml(copy, "<r><a/><a/><b/></r>", &sink, opts);
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(sink.str(), "<r><a></a><a></a><b></b></r>");
   }
@@ -140,10 +143,63 @@ TEST(SchemaStreamTest, ValidationDuringTransformation) {
     StreamOptions opts;
     opts.validator = &v;
     StringSink sink;
-    Status st = StreamTransformString(copy, "<r><b/><a/></r>", &sink, opts);
+    Status st = RunMftXml(copy, "<r><b/><a/></r>", &sink, opts);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   }
+}
+
+// A validator must see every event, so a run with one switches the source
+// projection off — derived from the run, not from a flag. The query only
+// reads r/a; the violation sits inside r/z, a subtree the projection skips.
+TEST(SchemaStreamTest, ValidatorSeesSubtreesTheQueryNeverReads) {
+  auto plan = CompiledPlan::Compile(
+      "<out>{ for $x in $input/r/a return <hit></hit> }</out>");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_FALSE(plan.value()->projection().whole_document);
+  auto schema = MustParseSchema("r -> a* z?\nz -> y*");
+  const std::vector<ParallelInput> bad = {
+      ParallelInput::XmlText("<r><a/><z><w/></z></r>")};
+
+  // Without a validator the projection skips z's subtree: no violation is
+  // visible, and the run succeeds.
+  StringSink plain;
+  RunResult result;
+  ASSERT_TRUE(
+      xqmft::Run({plan.value().get()}, bad, {&plain}, {}, &result).ok());
+  EXPECT_TRUE(result.pass.projection_enabled);
+  EXPECT_GT(result.pass.events_skipped, 0u);
+  EXPECT_EQ(plain.str(), "<out><hit></hit></out>");
+
+  SchemaValidator v(schema);
+  RunOptions run;
+  run.validator = &v;
+  StringSink sink;
+  Status st = xqmft::Run({plan.value().get()}, bad, {&sink}, run, &result);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(result.pass.projection_enabled);
+  EXPECT_EQ(result.pass.events_skipped, 0u);
+}
+
+// A validator is per-run state over one document: a run of several plans,
+// or of several inputs, rejects it up front.
+TEST(SchemaStreamTest, ValidatorNeedsOnePlanOverOneInput) {
+  auto a = CompiledPlan::Compile("<out>{$input/r/a}</out>");
+  auto b = CompiledPlan::Compile("<out>{$input/r/z}</out>");
+  ASSERT_TRUE(a.ok() && b.ok());
+  SchemaValidator v(MustParseSchema("r -> a* z?"));
+  RunOptions run;
+  run.validator = &v;
+  const ParallelInput doc = ParallelInput::XmlText("<r><a/></r>");
+  StringSink s1, s2;
+  EXPECT_EQ(xqmft::Run({a.value().get(), b.value().get()}, {doc},
+                       {&s1, &s2}, run)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(xqmft::Run({a.value().get()}, {doc, doc}, {&s1}, run).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(s1.str(), "");
+  EXPECT_EQ(s2.str(), "");
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for the serving layer (src/service/): the compile-once QueryCache
 // (normalized keys, LRU + byte-budget eviction, singleflight under
 // concurrency — the suite runs under the tsan preset), the QueryService
-// request path over the parallel streaming machinery, the CompiledPlan /
-// QueryRun split (immutability by construction, scratch reuse across
-// documents), and the JSON codec behind the serve frontend.
+// request path over Run (core/pipeline.h), CompiledPlan immutability by
+// construction, and the JSON codec behind the serve frontend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "run_util.h"
 #include "service/json.h"
 #include "service/query_cache.h"
 #include "service/query_service.h"
@@ -29,22 +29,19 @@ std::string QueryFor(const std::string& label) {
 const char kDoc[] =
     "<doc><a>1</a><b>2</b><a>3</a><c>4</c><b>5</b><d>6</d></doc>";
 
-// Ground truth through the one-query facade (compiled fresh, no cache).
-std::string DirectOutput(const std::string& query, const std::string& xml,
-                         const PipelineOptions& options = {}) {
-  auto cq = CompiledQuery::Compile(query, options);
-  EXPECT_TRUE(cq.ok()) << cq.status().ToString();
+std::string StreamPlan(const CompiledPlan& plan, const std::string& xml) {
   StringSink sink;
-  Status st = cq.value()->StreamString(xml, &sink);
+  Status st = RunXml(plan, xml, &sink);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return sink.str();
 }
 
-std::string StreamPlan(const CompiledPlan& plan, const std::string& xml) {
-  StringSink sink;
-  Status st = plan.StreamString(xml, &sink);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  return sink.str();
+// Ground truth through a freshly compiled plan (no cache).
+std::string DirectOutput(const std::string& query, const std::string& xml,
+                         const PipelineOptions& options = {}) {
+  auto plan = CompiledPlan::Compile(query, options);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return StreamPlan(*plan.value(), xml);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ TEST(QueryCacheConcurrencyTest, SingleflightCompilesEachQueryOnce) {
             continue;
           }
           StringSink sink;
-          Status st = lookup.value().plan->StreamString(kDoc, &sink);
+          Status st = RunXml(*lookup.value().plan, kDoc, &sink);
           if (!st.ok() ||
               sink.str() != want[static_cast<std::size_t>(pick)]) {
             ++mismatches;
@@ -312,7 +309,7 @@ TEST(QueryCacheConcurrencyTest, EvictionUnderLoadStaysConsistent) {
           }
           // An evicted plan stays usable while anyone holds it.
           StringSink sink;
-          Status st = lookup.value().plan->StreamString(kDoc, &sink);
+          Status st = RunXml(*lookup.value().plan, kDoc, &sink);
           if (!st.ok() ||
               sink.str() != want[static_cast<std::size_t>(pick)]) {
             ++mismatches;
@@ -354,7 +351,7 @@ TEST(QueryCacheConcurrencyTest, CapacityOneThrashUnderLoad) {
           continue;
         }
         StringSink sink;
-        Status st = lookup.value().plan->StreamString(kDoc, &sink);
+        Status st = RunXml(*lookup.value().plan, kDoc, &sink);
         if (!st.ok() || sink.str() != (use_a ? want_a : want_b)) {
           ++mismatches;
         }
@@ -392,6 +389,26 @@ TEST(QueryServiceTest, ExecutesAndReportsCompileOnceStats) {
   EXPECT_EQ(second.str(), first.str());
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_EQ(stats.compile_ms, 0.0);
+}
+
+TEST(QueryServiceTest, OneInputStreamsStraightIntoTheSink) {
+  // A one-input request is one work item: its output reaches the caller's
+  // sink while the document is still being read, not as a replay staged
+  // after the whole document.
+  std::string doc = "<doc>";
+  for (int i = 0; i < 200; ++i) doc += "<a>" + std::to_string(i) + "</a>";
+  doc += "</doc>";
+  TrickleSource source(doc);
+  FirstEventProbe sink(&source);
+  QueryService service;
+  ServiceRequest request;
+  request.query = QueryFor("a");
+  request.inputs.push_back(ParallelInput::Bytes(&source));
+  ASSERT_TRUE(service.Execute(request, &sink).ok());
+  ASSERT_TRUE(sink.saw_output());
+  EXPECT_FALSE(sink.exhausted_at_first_event());
+  EXPECT_TRUE(source.exhausted());
+  EXPECT_EQ(sink.str(), DirectOutput(QueryFor("a"), doc));
 }
 
 TEST(QueryServiceTest, BatchOutputMatchesSerialAtAnyThreadCount) {
@@ -577,7 +594,7 @@ TEST(QueryServiceTest, BaseNoOptConfigurationIsNotOverridden) {
 }
 
 // ---------------------------------------------------------------------------
-// CompiledPlan / QueryRun
+// CompiledPlan
 // ---------------------------------------------------------------------------
 
 TEST(CompiledPlanTest, FromMftServesParallelRunsWithoutManualWarm) {
@@ -594,10 +611,10 @@ TEST(CompiledPlanTest, FromMftServesParallelRunsWithoutManualWarm) {
       ParallelInput::XmlText("<r><a>x</a></r>"),
       ParallelInput::XmlText("<r><b>y</b></r>"),
   };
-  ParallelOptions par;
-  par.threads = 2;
+  RunOptions run;
+  run.threads = 2;
   StringSink sink;
-  ASSERT_TRUE(plan.value()->StreamMany(inputs, &sink, par).ok());
+  ASSERT_TRUE(xqmft::Run({plan.value().get()}, inputs, {&sink}, run).ok());
   EXPECT_EQ(sink.str(), "<r><a>x</a></r><r><b>y</b></r>");
 }
 
@@ -606,51 +623,6 @@ TEST(CompiledPlanTest, RejectsPerRunValidatorState) {
   SchemaValidator* bogus = reinterpret_cast<SchemaValidator*>(0x1);
   options.stream.validator = bogus;
   EXPECT_FALSE(CompiledPlan::Compile(QueryFor("a"), options).ok());
-}
-
-TEST(QueryRunTest, ReusedRunMatchesFreshRunsAcrossDocuments) {
-  auto plan = CompiledPlan::Compile(QueryFor("a"));
-  ASSERT_TRUE(plan.ok());
-  QueryRun run(plan.value());
-  // Documents with disjoint input alphabets: the run-local table snapshots
-  // back to the plan's base between documents, so names interned by one
-  // document must not leak into (or corrupt) the next run's emission.
-  std::vector<std::string> docs = {
-      "<doc><a>first</a><ignore1>z</ignore1></doc>",
-      "<doc><other2>q</other2><a>second</a></doc>",
-      "<doc/>",
-      "<doc><a>first</a><ignore1>z</ignore1></doc>",  // revisit doc 0
-  };
-  for (const std::string& doc : docs) {
-    StringSink reused;
-    StreamStats stats;
-    ASSERT_TRUE(run.StreamString(doc, &reused, &stats).ok());
-    EXPECT_EQ(reused.str(), DirectOutput(QueryFor("a"), doc)) << doc;
-    EXPECT_GT(stats.rule_applications, 0u);
-  }
-}
-
-TEST(QueryRunTest, PeakMemoryIsPerRunNotCumulative) {
-  // Pin the table machine: the ops engine streams this query at a flat,
-  // document-independent peak, which would make the two peaks equal and
-  // prove nothing about per-run accounting.
-  PipelineOptions options;
-  options.stream.engine = EngineChoice::kTable;
-  auto plan = CompiledPlan::Compile("<out>{ $input//a }</out>", options);
-  ASSERT_TRUE(plan.ok());
-  QueryRun run(plan.value());
-  // A big document, then a tiny one: the tiny run's peak must reflect the
-  // tiny run, not the big run's high-water mark.
-  std::string big = "<doc>";
-  for (int i = 0; i < 500; ++i) big += "<a>payload-payload</a>";
-  big += "</doc>";
-  StreamStats big_stats;
-  StringSink s1;
-  ASSERT_TRUE(run.StreamString(big, &s1, &big_stats).ok());
-  StreamStats tiny_stats;
-  StringSink s2;
-  ASSERT_TRUE(run.StreamString("<doc><a>x</a></doc>", &s2, &tiny_stats).ok());
-  EXPECT_LT(tiny_stats.peak_bytes, big_stats.peak_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@
 // on stderr and runs the table engine).
 //
 // Multi-query runs: `run` with repeated --query/-q flags (or --query-file,
-// one query per line) streams EVERY query over one input document in a
+// one query per line) streams EVERY query over each input document in a
 // single pass — one tokenization, one engine per query, a union projection
-// automaton skipping subtrees no query can match. Outputs print in query
-// order. --no-union-projection disables the skip automaton (measurement).
+// automaton skipping subtrees no query can match. Inputs are set up exactly
+// as for a single query (files, stdin, --pretok-cache). Outputs print in
+// query order, each query's outputs concatenated in input order.
+// --no-union-projection disables the skip automaton (measurement).
 // Multi-query is serial: combining it with --threads is rejected (sharded
 // multi-query execution is future work), as are --schema and --dag.
 //
@@ -333,175 +335,103 @@ void NoteEngineFallback(const Flags& flags, const Mft& mft) {
   }
 }
 
-// Opens a pretok file as the run's event source, rejecting a stream whose
-// tokenization options differ from the run's (it would replay different
-// events).
-Result<std::unique_ptr<PretokSource>> OpenPretokEvents(const std::string& path,
-                                                       SaxOptions sax) {
-  XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> p,
-                         PretokSource::OpenFile(path));
-  if (!SameTokenization(p->declared_options(), sax)) {
-    return Status::InvalidArgument(
-        "pretok cache " + path +
-        " was tokenized under different SAX options; delete it to "
-        "re-tokenize");
-  }
-  return p;
-}
-
-int StreamWith(const CompiledPlan& plan,
-               const std::vector<std::string>& inputs, const Flags& flags) {
-  // Serial runs may carry per-run state (the schema validator) on top of
-  // the plan's baked-in stream options; parallel runs may not.
-  StreamOptions options = plan.options().stream;
-  std::shared_ptr<const Schema> schema;
-  std::unique_ptr<SchemaValidator> validator;
-  if (!flags.schema_path.empty()) {
-    Result<std::string> text = FileOrInline(flags.schema_path);
-    if (!text.ok()) return Fail(text.status());
-    Result<std::shared_ptr<const Schema>> s = Schema::Parse(text.value());
-    if (!s.ok()) return Fail(s.status());
-    schema = s.value();
-    validator = std::make_unique<SchemaValidator>(schema);
-    options.validator = validator.get();
-  }
-
-  const bool parallel = flags.threads_set || inputs.size() > 1;
-  if (parallel && options.validator != nullptr) {
-    return Fail(Status::InvalidArgument(
-        "schema validation is per-run stateful and not supported by "
-        "parallel runs; validate inputs individually"));
-  }
-  const std::string input_arg = inputs.empty() ? "" : inputs[0];
-
-  // Parallel run state (document-set fan-out, or single-document sharding
-  // of a pretok cache at top-level forest boundaries).
-  std::vector<ParallelInput> par_inputs;
-  std::string sharded_pretok;  // single-document sharding when non-empty
-  ParallelOptions par;
-  std::vector<StreamStats> par_stats;
-
-  // Serial run state.
-  std::unique_ptr<EventSource> events;
-  std::unique_ptr<ByteSource> source;
-
-  if (parallel) {
-    if (inputs.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--threads requires named input files; stdin cannot be sharded"));
+// Input setup shared by single- and multi-query runs: named files (XML or
+// pretok caches, sniffed by magic, so adding or dropping --threads never
+// changes how an input is read), stdin as a borrowed byte source, or a
+// --pretok-cache built from the one input on first use and streamed in its
+// place. --threads over one pretok input shards it at top-level forest
+// boundaries.
+Status SetupInputs(const std::vector<std::string>& args, const Flags& flags,
+                   const SaxOptions& sax, ByteSource* stdin_source,
+                   std::vector<ParallelInput>* inputs, RunOptions* run) {
+  if (flags.threads_set) {
+    if (args.empty()) {
+      return Status::InvalidArgument(
+          "--threads requires named input files; stdin cannot be sharded");
     }
-    // Threads are an explicit opt-in: several inputs without --threads run
-    // serially, in order (only the staging/merge machinery is shared).
-    par.threads =
-        flags.threads_set ? static_cast<std::size_t>(flags.threads) : 1;
-    if (!flags.pretok_cache.empty()) {
-      if (inputs.size() > 1) {
-        return Fail(Status::InvalidArgument(
-            "--pretok-cache expects a single input; give each document its "
-            "own cache"));
-      }
-      // Same freshness rule as the serial path: with no comparable input
-      // (the XML deleted since the cache was built) an existing cache
-      // serves alone instead of failing on the missing file.
-      bool cache_fresh =
-          IsFile(input_arg)
-              ? PretokCacheValid(flags.pretok_cache, input_arg, options.sax)
-              : IsFile(flags.pretok_cache);
-      if (!cache_fresh) {
-        Status st =
-            PretokenizeXmlFile(input_arg, flags.pretok_cache, options.sax);
-        if (!st.ok()) return Fail(st);
-      }
-      sharded_pretok = flags.pretok_cache;
-    } else if (inputs.size() == 1 && IsPretokFile(inputs[0])) {
-      sharded_pretok = inputs[0];
-    } else {
-      for (const std::string& path : inputs) {
-        if (!IsFile(path)) {
-          return Fail(Status::InvalidArgument("cannot open " + path));
-        }
-        par_inputs.push_back(IsPretokFile(path)
-                                 ? ParallelInput::PretokFile(path)
-                                 : ParallelInput::XmlFile(path));
-      }
-      if (par_inputs.size() == 1) {
-        std::fprintf(stderr,
-                     "note: one text-XML input cannot be split; give a "
-                     "pretok cache (--pretok-cache) to shard a single "
-                     "document\n");
-      }
+    run->threads = static_cast<std::size_t>(flags.threads);
+  }
+  const std::string input_arg = args.empty() ? "" : args[0];
+  if (!flags.pretok_cache.empty()) {
+    if (args.size() > 1) {
+      return Status::InvalidArgument(
+          "--pretok-cache expects a single input; give each document its "
+          "own cache");
     }
-  } else if (!flags.pretok_cache.empty()) {
     // Re-tokenize when the cache is missing or was not built from the
     // current bytes of an existing file input (the header records the
     // source's size + hash). With no comparable input (stdin, or the XML
     // already deleted) an existing cache serves alone — note the stdin case
     // on stderr, since any piped document goes unread.
-    bool comparable = !input_arg.empty() && IsFile(input_arg);
-    bool cache_fresh =
-        comparable
-            ? PretokCacheValid(flags.pretok_cache, input_arg, options.sax)
-            : IsFile(flags.pretok_cache);
+    const bool comparable = !input_arg.empty() && IsFile(input_arg);
+    const bool cache_fresh =
+        comparable ? PretokCacheValid(flags.pretok_cache, input_arg, sax)
+                   : IsFile(flags.pretok_cache);
     if (!cache_fresh) {
-      Status st;
       if (input_arg.empty()) {
-        StdinSource stdin_source;
         std::string bytes;
-        st = PretokenizeXml(&stdin_source, options.sax, &bytes);
-        if (st.ok()) st = WritePretokFile(bytes, flags.pretok_cache);
+        XQMFT_RETURN_NOT_OK(PretokenizeXml(stdin_source, sax, &bytes));
+        XQMFT_RETURN_NOT_OK(WritePretokFile(bytes, flags.pretok_cache));
       } else {
-        st = PretokenizeXmlFile(input_arg, flags.pretok_cache, options.sax);
+        XQMFT_RETURN_NOT_OK(
+            PretokenizeXmlFile(input_arg, flags.pretok_cache, sax));
       }
-      if (!st.ok()) return Fail(st);
     } else if (input_arg.empty()) {
       std::fprintf(stderr,
                    "note: streaming existing pretok cache %s; stdin not "
                    "read\n",
                    flags.pretok_cache.c_str());
     }
-    Result<std::unique_ptr<PretokSource>> p =
-        OpenPretokEvents(flags.pretok_cache, options.sax);
-    if (!p.ok()) return Fail(p.status());
-    events = std::move(p).value();
-  } else if (input_arg.empty()) {
-    source = std::make_unique<StdinSource>();
-  } else if (IsPretokFile(input_arg)) {
-    // A pretok cache as the positional input streams as events on the
-    // serial path too — the same sniff the parallel path does, so adding
-    // or dropping --threads never changes how an input is interpreted.
-    Result<std::unique_ptr<PretokSource>> p =
-        OpenPretokEvents(input_arg, options.sax);
-    if (!p.ok()) return Fail(p.status());
-    events = std::move(p).value();
+    inputs->push_back(ParallelInput::PretokFile(flags.pretok_cache));
+  } else if (args.empty()) {
+    inputs->push_back(ParallelInput::Bytes(stdin_source));
   } else {
-    Result<std::unique_ptr<ByteSource>> f = MmapSource::Open(input_arg);
-    if (!f.ok()) return Fail(f.status());
-    source = std::move(f).value();
-  }
-
-  auto stream = [&](OutputSink* sink, StreamStats* stats) {
-    if (parallel) {
-      Status st =
-          !sharded_pretok.empty()
-              ? StreamShardedPretokFileTransform(plan, sharded_pretok,
-                                                 /*shards=*/0, sink, par,
-                                                 &par_stats)
-              : StreamManyTransform(plan, par_inputs, sink, par, &par_stats);
-      if (stats != nullptr) *stats = AggregateStreamStats(par_stats);
-      return st;
+    for (const std::string& path : args) {
+      if (!IsFile(path)) {
+        return Status::InvalidArgument("cannot open " + path);
+      }
+      inputs->push_back(IsPretokFile(path) ? ParallelInput::PretokFile(path)
+                                           : ParallelInput::XmlFile(path));
     }
-    return events != nullptr
-               ? StreamTransformEvents(plan.mft(), events.get(), sink,
-                                       options, stats)
-               : StreamTransform(plan.mft(), source.get(), sink, options,
-                                 stats);
-  };
+  }
+  if (flags.threads_set && inputs->size() == 1) {
+    if (inputs->front().kind == ParallelInput::Kind::kPretokFile) {
+      run->shards = 0;  // one work item per top-level tree
+    } else {
+      std::fprintf(stderr,
+                   "note: one text-XML input cannot be split; give a "
+                   "pretok cache (--pretok-cache) to shard a single "
+                   "document\n");
+    }
+  }
+  return Status::OK();
+}
 
-  StreamStats stats;
+int StreamWith(const CompiledPlan& plan, const std::vector<std::string>& args,
+               const Flags& flags) {
+  // Per-run state on top of the plan's baked stream options: the schema
+  // validator (Run accepts it for one unsharded input only).
+  RunOptions run;
+  std::unique_ptr<SchemaValidator> validator;
+  if (!flags.schema_path.empty()) {
+    Result<std::string> text = FileOrInline(flags.schema_path);
+    if (!text.ok()) return Fail(text.status());
+    Result<std::shared_ptr<const Schema>> s = Schema::Parse(text.value());
+    if (!s.ok()) return Fail(s.status());
+    validator = std::make_unique<SchemaValidator>(s.value());
+    run.validator = validator.get();
+  }
+  StdinSource stdin_source;
+  std::vector<ParallelInput> inputs;
+  Status setup = SetupInputs(args, flags, plan.options().stream.sax,
+                             &stdin_source, &inputs, &run);
+  if (!setup.ok()) return Fail(setup);
+
+  RunResult result;
   Status st;
   if (flags.dag) {
     DagSink sink;
-    st = stream(&sink, &stats);
+    st = Run({&plan}, inputs, {&sink}, run, &result);
     if (!st.ok()) return Fail(st);
     std::printf("output nodes:   %llu\n",
                 static_cast<unsigned long long>(sink.total_nodes()));
@@ -509,12 +439,13 @@ int StreamWith(const CompiledPlan& plan,
     std::printf("compression:    %.2fx\n", sink.CompressionRatio());
   } else {
     FileSink sink(stdout);
-    st = stream(&sink, &stats);
+    st = Run({&plan}, inputs, {&sink}, run, &result);
     sink.Flush();
     std::printf("\n");
     if (!st.ok()) return Fail(st);
   }
   if (flags.stats) {
+    const StreamStats& stats = result.plans[0].total;
     // The lowering verdict is a plan property, independent of which engine
     // this run used: "yes (full)", "yes (hybrid: ...)", or "no (<reason>)".
     std::string why;
@@ -542,8 +473,8 @@ int StreamWith(const CompiledPlan& plan,
   return 0;
 }
 
-// `run` with --query/-q flags: every query over one input, one pass.
-int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
+// `run` with --query/-q flags: every query over the input, one pass.
+int RunMulti(const std::vector<std::string>& args, const Flags& flags) {
   if (flags.threads_set) {
     return Fail(Status::InvalidArgument(
         "--threads cannot combine with multi-query --query: the shared "
@@ -558,17 +489,6 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
   if (flags.dag) {
     return Fail(Status::InvalidArgument(
         "--dag cannot combine with multi-query --query"));
-  }
-  if (!flags.pretok_cache.empty()) {
-    return Fail(Status::InvalidArgument(
-        "--pretok-cache cannot combine with multi-query --query; build the "
-        "cache with a single-query run and pass the .ptk file as the "
-        "input"));
-  }
-  if (inputs.size() > 1) {
-    return Fail(Status::InvalidArgument(
-        "multi-query run streams one input document; got " +
-        std::to_string(inputs.size())));
   }
 
   std::vector<std::string> texts;
@@ -615,20 +535,13 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
     raw.push_back(plans.back().get());
   }
 
-  ParallelInput input;
-  if (inputs.empty()) {
-    StdinSource stdin_source;
-    std::string xml;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = stdin_source.Read(buf, sizeof buf)) > 0) xml.append(buf, n);
-    input = ParallelInput::XmlText(std::move(xml));
-  } else if (!IsFile(inputs[0])) {
-    return Fail(Status::InvalidArgument("cannot open " + inputs[0]));
-  } else {
-    input = IsPretokFile(inputs[0]) ? ParallelInput::PretokFile(inputs[0])
-                                    : ParallelInput::XmlFile(inputs[0]);
-  }
+  StdinSource stdin_source;
+  std::vector<ParallelInput> inputs;
+  RunOptions run;
+  run.union_projection = !flags.no_union_projection;
+  Status setup = SetupInputs(args, flags, raw.front()->options().stream.sax,
+                             &stdin_source, &inputs, &run);
+  if (!setup.ok()) return Fail(setup);
 
   // Each engine records into its own buffer; stdout gets the replays in
   // query order once the pass is done, so interleaved engine output never
@@ -636,44 +549,40 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
   std::vector<EventBuffer> buffers(raw.size());
   std::vector<OutputSink*> sinks;
   for (EventBuffer& b : buffers) sinks.push_back(&b);
-  MultiQueryOptions multi;
-  multi.union_projection = !flags.no_union_projection;
-  std::vector<MultiPlanResult> results;
-  MultiQueryStats run_stats;
-  Status st =
-      StreamAllTransformInput(raw, input, sinks, multi, &results, &run_stats);
-  if (results.size() != raw.size()) return Fail(st);
+  RunResult result;
+  Status st = Run(raw, inputs, sinks, run, &result);
+  if (!st.ok() && result.documents == 0) return Fail(st);  // nothing ran
 
   FileSink out(stdout);
   int failed = 0;
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (results[i].status.ok()) {
+    if (result.plans[i].status.ok()) {
       buffers[i].Replay(&out);
       out.Flush();
       std::printf("\n");
     } else {
       ++failed;
       std::fprintf(stderr, "error: query %zu: %s\n", i + 1,
-                   results[i].status.ToString().c_str());
+                   result.plans[i].status.ToString().c_str());
     }
   }
   if (flags.stats) {
     for (std::size_t i = 0; i < raw.size(); ++i) {
-      const StreamStats& s = results[i].stats;
+      const StreamStats& s = result.plans[i].total;
       std::fprintf(stderr,
                    "query %zu: events fed: %llu, output events: %zu, "
                    "peak memory: %s\n",
                    i + 1,
-                   static_cast<unsigned long long>(results[i].events_fed),
+                   static_cast<unsigned long long>(result.plans[i].events_fed),
                    s.output_events, HumanBytes(s.peak_bytes).c_str());
     }
     std::fprintf(stderr,
                  "shared pass: bytes in: %llu, events: %llu, skipped by "
                  "projection: %llu (projection %s)\n",
-                 static_cast<unsigned long long>(run_stats.bytes_in),
-                 static_cast<unsigned long long>(run_stats.events_total),
-                 static_cast<unsigned long long>(run_stats.events_skipped),
-                 run_stats.projection_enabled ? "on" : "off");
+                 static_cast<unsigned long long>(result.pass.bytes_in),
+                 static_cast<unsigned long long>(result.pass.events_total),
+                 static_cast<unsigned long long>(result.pass.events_skipped),
+                 result.pass.projection_enabled ? "on" : "off");
   }
   return failed == 0 ? 0 : 1;
 }
@@ -802,23 +711,23 @@ int main(int argc, char** argv) {
     PipelineOptions po;
     po.optimize = !flags.no_opt;
     po.stream.engine = flags.engine;
-    Result<std::unique_ptr<CompiledQuery>> cq =
-        CompiledQuery::Compile(query_text.value(), po);
-    if (!cq.ok()) return Fail(cq.status());
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompiledPlan::Compile(query_text.value(), po);
+    if (!plan.ok()) return Fail(plan.status());
     if (cmd == "compile") {
-      std::printf("%s", cq.value()->mft().ToString().c_str());
+      std::printf("%s", plan.value()->mft().ToString().c_str());
       std::fprintf(stderr, "%s\n",
-                   cq.value()->optimize_report().ToString().c_str());
+                   plan.value()->optimize_report().ToString().c_str());
       return 0;
     }
     if (cmd == "translate") {
-      std::printf("%s", cq.value()->unoptimized_mft().ToString().c_str());
+      std::printf("%s", plan.value()->unoptimized_mft().ToString().c_str());
       return 0;
     }
-    NoteEngineFallback(flags, cq.value()->mft());
-    return StreamWith(
-        *cq.value()->plan(),
-        std::vector<std::string>(args.begin() + 1, args.end()), flags);
+    NoteEngineFallback(flags, plan.value()->mft());
+    return StreamWith(*plan.value(),
+                      std::vector<std::string>(args.begin() + 1, args.end()),
+                      flags);
   }
 
   if (cmd == "mft") {
