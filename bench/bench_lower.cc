@@ -1,9 +1,9 @@
 // Execution-lowering benchmark: the table engine vs the lowered opcode
 // engine (lower/ops_engine) on the Figure 3 corpus. The parameter-free
 // queries (q02, q13, double, fourstar, deepdup) lower fully; the predicate
-// queries (q01, q04, q16, q17) lower hybrid — rope-register opcodes for
-// their accumulating parameters plus table-machine bridge sub-runs at the
-// selector sites — so every corpus query now has an ops point.
+// queries (q01, q04, q16, q17) lower hybrid — the scan runs on the opcode
+// core and each selector site is a table-machine bridge sub-run — so every
+// corpus query has an ops point.
 //
 // Two input shapes per query:
 //
@@ -140,10 +140,10 @@ void RegisterAll() {
     bool simd;
   };
   const Mode kXmlModes[] = {{"table", EngineChoice::kTable, true},
-                            {"ops", EngineChoice::kOps, true},
-                            {"ops_nosimd", EngineChoice::kOps, false}};
+                            {"ops", EngineChoice::kAuto, true},
+                            {"ops_nosimd", EngineChoice::kAuto, false}};
   const Mode kPretokModes[] = {{"table", EngineChoice::kTable, true},
-                               {"ops", EngineChoice::kOps, true}};
+                               {"ops", EngineChoice::kAuto, true}};
 
   for (const std::string& id : QueryList()) {
     const BenchQuery& bq = QueryById(id);

@@ -18,21 +18,11 @@ namespace {
 // must degrade to "not lowerable", not to an OOM.
 constexpr std::size_t kMaxCodeSize = std::size_t{1} << 20;
 
-// Per-instruction arena budgets for the pre-mark rope block (see
-// LoweredProgramRef::prealloc_bytes). A rope append allocates at most one
-// chunk (8 pad + 16 header + 48 capacity); a rope spawn materializes one
-// register file (kMaxRopeParams ropes + pad). Overestimates are cheap: the
-// block is bump-allocated and reclaimed wholesale at scope close.
-constexpr std::uint32_t kPreallocPerAppend = 80;
-constexpr std::uint32_t kPreallocPerSpawn = 96;
-
 // How a state executes under the lowered plan.
 enum class StateClass : unsigned char {
   kPlain,        ///< parameter-free, compiles to opcode programs
-  kPlainBridged, ///< parameter-free but matches on text content: table-only
-  kAppend,       ///< parameters thread linearly: rope registers, native
-  kSelector,     ///< pass-through cluster: factored + bridged at call sites
-  kGeneral,      ///< anything else: reachable only through a kBridge
+  kTextMatcher,  ///< parameter-free but matches on text content: no programs
+  kParams,       ///< carries parameters: reachable only through a kBridge
 };
 
 // Compilation context of a program: which input the state is being applied
@@ -53,7 +43,7 @@ class Compiler {
     if (mft_.num_params(q0) > 0) {
       return Fail("initial state carries parameters");
     }
-    if (class_[static_cast<std::size_t>(q0)] == StateClass::kPlainBridged) {
+    if (class_[static_cast<std::size_t>(q0)] == StateClass::kTextMatcher) {
       return Fail("state '" + mft_.state_name(q0) +
                   "' matches on text content");
     }
@@ -65,14 +55,10 @@ class Compiler {
     plan_.initial = q0;
     plan_.states.resize(static_cast<std::size_t>(mft_.num_states()));
     for (StateId q = 0; q < mft_.num_states(); ++q) {
-      const StateClass cls = class_[static_cast<std::size_t>(q)];
-      // Selector/general parameter states and text-content matchers have no
-      // programs: they only ever run inside a table-machine bridge.
-      if (cls != StateClass::kPlain && cls != StateClass::kAppend) continue;
+      // Parameter states and text-content matchers have no programs: they
+      // only ever run inside a table-machine bridge.
+      if (class_[static_cast<std::size_t>(q)] != StateClass::kPlain) continue;
       LoweredState& st = plan_.states[static_cast<std::size_t>(q)];
-      st.n_ropes = cls == StateClass::kAppend
-                       ? static_cast<std::uint8_t>(mft_.num_params(q))
-                       : 0;
       st.element.resize(width_);
       for (SymbolId id = 0; id < width_; ++id) {
         int p = CompileProgram(q, id);
@@ -133,40 +119,27 @@ class Compiler {
   // non-escaping argument forests) may cross the bridge.
   void Classify() {
     const std::size_t n = static_cast<std::size_t>(mft_.num_states());
-    class_.assign(n, StateClass::kGeneral);
+    class_.assign(n, StateClass::kParams);
     sel_.assign(n, false);
-    app_.assign(n, false);
     escapes_.assign(n, false);
 
     for (StateId q = 0; q < mft_.num_states(); ++q) {
-      const int np = mft_.num_params(q);
-      if (np == 0) {
+      if (mft_.num_params(q) == 0) {
         class_[static_cast<std::size_t>(q)] = HasTextContentRules(q)
-                                                  ? StateClass::kPlainBridged
+                                                  ? StateClass::kTextMatcher
                                                   : StateClass::kPlain;
       } else {
         sel_[static_cast<std::size_t>(q)] = true;
-        app_[static_cast<std::size_t>(q)] =
-            np <= static_cast<int>(kMaxRopeParams) && !HasTextContentRules(q);
       }
     }
 
-    // Demotion fixpoints: a shape may reference other parameter states, so
+    // Demotion fixpoint: a shape may reference other parameter states, so
     // iterate until no state loses its flag.
     for (bool changed = true; changed;) {
       changed = false;
       for (StateId q = 0; q < mft_.num_states(); ++q) {
         if (sel_[static_cast<std::size_t>(q)] && !SelectorShape(q)) {
           sel_[static_cast<std::size_t>(q)] = false;
-          changed = true;
-        }
-      }
-    }
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (StateId q = 0; q < mft_.num_states(); ++q) {
-        if (app_[static_cast<std::size_t>(q)] && !AppendShape(q)) {
-          app_[static_cast<std::size_t>(q)] = false;
           changed = true;
         }
       }
@@ -182,14 +155,6 @@ class Compiler {
           changed = true;
         }
       }
-    }
-
-    for (StateId q = 0; q < mft_.num_states(); ++q) {
-      if (mft_.num_params(q) == 0) continue;
-      std::size_t i = static_cast<std::size_t>(q);
-      class_[i] = app_[i] ? StateClass::kAppend
-                          : (sel_[i] ? StateClass::kSelector
-                                     : StateClass::kGeneral);
     }
   }
 
@@ -277,75 +242,6 @@ class Compiler {
     if (!sel_[static_cast<std::size_t>(n0.state)]) return false;
     for (const Rhs& a : n0.args) {
       if (!SelectorArg(a)) return false;
-    }
-    return true;
-  }
-
-  // The *append-only* discipline: every rule threads each parameter
-  // linearly — used at most once, either emitted into the output or spliced
-  // into an argument of a further append-only call — and call arguments are
-  // emission-only otherwise (no state calls inside an argument). Such
-  // parameters compile to rope registers.
-  bool AppendShape(StateId q) const {
-    const StateRules& r = mft_.rules(q);
-    bool used[kMaxRopeParams];
-    auto rule_ok = [&](const Rhs& rhs) {
-      std::fill(used, used + kMaxRopeParams, false);
-      return AppendRhs(rhs, q, used);
-    };
-    for (const auto& [symbol, rhs] : r.symbol_rules) {
-      (void)symbol;
-      if (!rule_ok(rhs)) return false;
-    }
-    if (r.text_rule && !rule_ok(*r.text_rule)) return false;
-    if (r.default_rule && !rule_ok(*r.default_rule)) return false;
-    if (r.epsilon_rule && !rule_ok(*r.epsilon_rule)) return false;
-    return true;
-  }
-
-  bool AppendRhs(const Rhs& rhs, StateId q, bool* used) const {
-    for (const RhsNode& item : rhs) {
-      switch (item.kind) {
-        case RhsKind::kLabel:
-          if (!AppendRhs(item.children, q, used)) return false;
-          break;
-        case RhsKind::kParam: {
-          const int idx = item.param - 1;
-          if (idx < 0 || idx >= mft_.num_params(q) || used[idx]) return false;
-          used[idx] = true;
-          break;
-        }
-        case RhsKind::kCall: {
-          if (item.args.empty()) break;  // plain scan call, fine anywhere
-          if (item.input == InputVar::kX0) return false;  // needs remapping
-          if (item.state < 0 || !app_[static_cast<std::size_t>(item.state)]) {
-            return false;
-          }
-          for (const Rhs& arg : item.args) {
-            if (!AppendArg(arg, q, used)) return false;
-          }
-          break;
-        }
-      }
-    }
-    return true;
-  }
-
-  bool AppendArg(const Rhs& arg, StateId q, bool* used) const {
-    for (const RhsNode& item : arg) {
-      switch (item.kind) {
-        case RhsKind::kLabel:
-          if (!AppendArg(item.children, q, used)) return false;
-          break;
-        case RhsKind::kParam: {
-          const int idx = item.param - 1;
-          if (idx < 0 || idx >= mft_.num_params(q) || used[idx]) return false;
-          used[idx] = true;
-          break;
-        }
-        case RhsKind::kCall:
-          return false;  // a call's output is not emission-only
-      }
     }
     return true;
   }
@@ -458,14 +354,8 @@ class Compiler {
       return -1;
     }
 
-    const StateId owner =
-        mft_.num_params(q) > 0 &&
-                app_[static_cast<std::size_t>(q)]
-            ? q
-            : -1;
-    bool used[kMaxRopeParams] = {false, false, false, false};
     std::vector<LoweredInsn> tmp;
-    if (!EmitRhs(*rhs, owner, ctx, used, &tmp)) return -1;
+    if (!EmitRhs(*rhs, ctx, &tmp)) return -1;
 
     int ref = Intern(std::move(tmp));
     if (ref < 0) return -1;
@@ -474,10 +364,8 @@ class Compiler {
   }
 
   // Appends the instructions for one RHS forest in context `ctx` to *out.
-  // `owner` is the append-only state whose rope registers parameter
-  // references resolve against (-1 in parameter-free programs); `used`
-  // tracks the rule's linear-use discipline.
-  bool EmitRhs(const Rhs& rhs, StateId owner, std::uint32_t ctx, bool* used,
+  // Only parameter-free states compile, so a parameter reference fails.
+  bool EmitRhs(const Rhs& rhs, std::uint32_t ctx,
                std::vector<LoweredInsn>* out) {
     for (const RhsNode& item : rhs) {
       switch (item.kind) {
@@ -486,11 +374,11 @@ class Compiler {
             if (ctx < width_) {
               // %t over a known element symbol folds to a literal.
               out->push_back({LowerOp::kOpenLit, ctx});
-              if (!EmitRhs(item.children, owner, ctx, used, out)) return false;
+              if (!EmitRhs(item.children, ctx, out)) return false;
               out->push_back({LowerOp::kCloseLit, ctx});
             } else if (ctx == CtxDefault()) {
               out->push_back({LowerOp::kOpenCur, 0});
-              if (!EmitRhs(item.children, owner, ctx, used, out)) return false;
+              if (!EmitRhs(item.children, ctx, out)) return false;
               out->push_back({LowerOp::kCloseCur, 0});
             } else if (ctx == CtxText()) {
               // %t over a text node copies its content; an output text node
@@ -504,35 +392,22 @@ class Compiler {
             out->push_back({LowerOp::kTextLit, item.symbol_id});
           } else {
             out->push_back({LowerOp::kOpenLit, item.symbol_id});
-            if (!EmitRhs(item.children, owner, ctx, used, out)) return false;
+            if (!EmitRhs(item.children, ctx, out)) return false;
             out->push_back({LowerOp::kCloseLit, item.symbol_id});
           }
           break;
         }
         case RhsKind::kCall: {
           if (!item.args.empty()) {
-            if (!EmitParamCall(item, owner, ctx, used, out)) return false;
+            if (!EmitParamCall(item, ctx, out)) return false;
             break;
           }
           if (!EmitPlainCall(item, ctx, out)) return false;
           break;
         }
-        case RhsKind::kParam: {
-          const int idx = item.param - 1;
-          if (owner < 0 || idx < 0 || idx >= mft_.num_params(owner)) {
-            error_ = "parameter reference in rhs";
-            return false;
-          }
-          if (used[idx]) {
-            error_ = "state '" + mft_.state_name(owner) +
-                     "' uses a parameter twice";
-            return false;
-          }
-          used[idx] = true;
-          out->push_back(
-              {LowerOp::kRopeEmit, static_cast<std::uint32_t>(idx)});
-          break;
-        }
+        case RhsKind::kParam:
+          error_ = "parameter reference in rhs";
+          return false;
       }
       if (out->size() > kMaxCodeSize) {
         error_ = "lowered program exceeds the size limit";
@@ -542,8 +417,8 @@ class Compiler {
     return true;
   }
 
-  // An argument-free state call: the parameter-free fast path, plus the
-  // bridge for plain states that match on text content.
+  // An argument-free state call: the parameter-free fast path. States that
+  // match on text content do not lower in any position.
   bool EmitPlainCall(const RhsNode& item, std::uint32_t ctx,
                      std::vector<LoweredInsn>* out) {
     const StateId callee = item.state;
@@ -555,10 +430,12 @@ class Compiler {
     }
     switch (item.input) {
       case InputVar::kX0: {
-        if (cls == StateClass::kPlain) return Splice(callee, ctx, out);
-        // Text-content matcher: run it on the table engine over exactly
-        // this anchor.
-        return EmitBridge(RhsNode::Call(callee, InputVar::kX0), ctx, out);
+        if (cls != StateClass::kPlain) {
+          error_ = "state '" + mft_.state_name(callee) +
+                   "' matches on text content";
+          return false;
+        }
+        return Splice(callee, ctx, out);
       }
       case InputVar::kX1: {
         if (ctx == CtxText()) {
@@ -599,12 +476,11 @@ class Compiler {
   }
 
   // A parameter-carrying call. Tries, in order:
-  //   1. native rope execution (append-only callee, compilable arguments);
-  //   2. common-suffix factoring against a selector cluster, bridging the
+  //   1. common-suffix factoring against a selector cluster, bridging the
   //      residual arguments and emitting the suffix as caller code;
-  //   3. a direct table bridge over the anchor subtree.
-  bool EmitParamCall(const RhsNode& item, StateId owner, std::uint32_t ctx,
-                     bool* used, std::vector<LoweredInsn>* out) {
+  //   2. a direct table bridge over the anchor subtree.
+  bool EmitParamCall(const RhsNode& item, std::uint32_t ctx,
+                     std::vector<LoweredInsn>* out) {
     const StateId callee = item.state;
     const int cn = mft_.num_params(callee);
     if (cn == 0 || static_cast<int>(item.args.size()) != cn) {
@@ -618,64 +494,7 @@ class Compiler {
       return false;
     }
 
-    // 1) Native rope registers.
-    if (app_[static_cast<std::size_t>(callee)] &&
-        item.input != InputVar::kX0) {
-      if (item.input == InputVar::kX1 && ctx == CtxText()) {
-        // Empty child forest: the callee's epsilon rule with these
-        // arguments substituted — folds to plain emission at compile time.
-        const Rhs* eps = mft_.rules(callee).epsilon_rule
-                             ? &*mft_.rules(callee).epsilon_rule
-                             : nullptr;
-        if (eps == nullptr) {
-          error_ = "state '" + mft_.state_name(callee) +
-                   "' has no applicable rule";
-          return false;
-        }
-        return EmitRhs(SubstParams(*eps, item.args), owner, ctx, used, out);
-      }
-      // Identity pass q'(xi, y1..yn): the spawned consumer simply inherits
-      // the caller's register file — a plain kChild/kSib, which keeps the
-      // sibling-scan hot path allocation-free.
-      if (owner >= 0 && cn == mft_.num_params(owner) &&
-          IsIdentityArgs(item.args)) {
-        for (int i = 0; i < cn; ++i) {
-          if (used[i]) {
-            error_ = "state '" + mft_.state_name(owner) +
-                     "' uses a parameter twice";
-            return false;
-          }
-          used[i] = true;
-        }
-        out->push_back({item.input == InputVar::kX1 ? LowerOp::kChild
-                                                    : LowerOp::kSib,
-                        static_cast<std::uint32_t>(callee)});
-        return true;
-      }
-      // Stage the register file rope by rope.
-      std::vector<LoweredInsn> tmp;
-      bool saved[kMaxRopeParams];
-      std::copy(used, used + kMaxRopeParams, saved);
-      bool ok = true;
-      for (const Rhs& arg : item.args) {
-        tmp.push_back({LowerOp::kRopeNew, 0});
-        if (!EmitRopeArg(arg, owner, ctx, used, &tmp)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        out->insert(out->end(), tmp.begin(), tmp.end());
-        out->push_back({item.input == InputVar::kX1 ? LowerOp::kRopeChild
-                                                    : LowerOp::kRopeSib,
-                        static_cast<std::uint32_t>(callee)});
-        return true;
-      }
-      std::copy(saved, saved + kMaxRopeParams, used);
-      error_.clear();  // fall through to the bridge paths
-    }
-
-    // 2) Common-suffix factoring against a selector cluster: with
+    // 1) Common-suffix factoring against a selector cluster: with
     //    arguments A_i = A'_i · C the cluster's output is A'_w · C for the
     //    winner w the input selects, so bridging the residuals A'_i and
     //    emitting C as ordinary caller code is exact.
@@ -706,7 +525,7 @@ class Compiler {
       if (all_empty && ClusterTotal(callee)) {
         // Identical arguments: whichever the cluster selects, the output is
         // the shared forest — drop the call entirely.
-        return EmitRhs(item.args[0], owner, ctx, used, out);
+        return EmitRhs(item.args[0], ctx, out);
       }
       if (item.input == InputVar::kX0 &&
           !escapes_[static_cast<std::size_t>(callee)]) {
@@ -729,14 +548,14 @@ class Compiler {
           }
           const Rhs& a0 = item.args[0];
           Rhs c(a0.end() - static_cast<std::ptrdiff_t>(suffix), a0.end());
-          return EmitRhs(c, owner, ctx, used, out);
+          return EmitRhs(c, ctx, out);
         }
         // error_ set by ArgBridgeable; keep the more specific message.
         return false;
       }
     }
 
-    // 3) Direct bridge: x0, non-escaping callee, anchor-local arguments.
+    // 2) Direct bridge: x0, non-escaping callee, anchor-local arguments.
     if (item.input == InputVar::kX0) {
       if (escapes_[static_cast<std::size_t>(callee)]) {
         error_ = "bridged state '" + mft_.state_name(callee) +
@@ -753,97 +572,6 @@ class Compiler {
                  ? "parameter-carrying call over children does not lower"
                  : "parameter-carrying call over following siblings";
     return false;
-  }
-
-  static bool IsIdentityArgs(const std::vector<Rhs>& args) {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i].size() != 1 || args[i][0].kind != RhsKind::kParam ||
-          args[i][0].param != static_cast<int>(i) + 1) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Replaces parameter references in `rhs` by the given argument forests
-  // (recursively, through label children and call arguments).
-  Rhs SubstParams(const Rhs& rhs, const std::vector<Rhs>& args) const {
-    Rhs out;
-    for (const RhsNode& item : rhs) {
-      if (item.kind == RhsKind::kParam) {
-        const Rhs& a = args[static_cast<std::size_t>(item.param) - 1];
-        out.insert(out.end(), a.begin(), a.end());
-        continue;
-      }
-      RhsNode copy = item;
-      if (copy.kind == RhsKind::kLabel) {
-        copy.children = SubstParams(copy.children, args);
-      } else if (copy.kind == RhsKind::kCall) {
-        for (Rhs& arg : copy.args) arg = SubstParams(arg, args);
-      }
-      out.push_back(std::move(copy));
-    }
-    return out;
-  }
-
-  // Compiles one call argument into rope appends on the staging rope.
-  bool EmitRopeArg(const Rhs& arg, StateId owner, std::uint32_t ctx,
-                   bool* used, std::vector<LoweredInsn>* out) {
-    for (const RhsNode& item : arg) {
-      switch (item.kind) {
-        case RhsKind::kLabel: {
-          if (item.current_label) {
-            if (ctx < width_) {
-              out->push_back({LowerOp::kRopeOpen, ctx});
-              if (!EmitRopeArg(item.children, owner, ctx, used, out)) {
-                return false;
-              }
-              out->push_back({LowerOp::kRopeClose, ctx});
-            } else if (ctx == CtxDefault()) {
-              out->push_back({LowerOp::kRopeOpenCur, 0});
-              if (!EmitRopeArg(item.children, owner, ctx, used, out)) {
-                return false;
-              }
-              out->push_back({LowerOp::kRopeCloseCur, 0});
-            } else if (ctx == CtxText()) {
-              out->push_back({LowerOp::kRopeTextCur, 0});
-            } else {
-              error_ = "%t in an epsilon rule";
-              return false;
-            }
-          } else if (item.symbol.kind == NodeKind::kText) {
-            out->push_back({LowerOp::kRopeText, item.symbol_id});
-          } else {
-            out->push_back({LowerOp::kRopeOpen, item.symbol_id});
-            if (!EmitRopeArg(item.children, owner, ctx, used, out)) {
-              return false;
-            }
-            out->push_back({LowerOp::kRopeClose, item.symbol_id});
-          }
-          break;
-        }
-        case RhsKind::kParam: {
-          const int idx = item.param - 1;
-          if (owner < 0 || idx < 0 || idx >= mft_.num_params(owner)) {
-            error_ = "parameter reference in rhs";
-            return false;
-          }
-          if (used[idx]) {
-            error_ = "state '" + mft_.state_name(owner) +
-                     "' uses a parameter twice";
-            return false;
-          }
-          used[idx] = true;
-          out->push_back(
-              {LowerOp::kRopeSplice, static_cast<std::uint32_t>(idx)});
-          break;
-        }
-        case RhsKind::kCall:
-          error_ = "state call inside an append-only argument";
-          return false;
-      }
-    }
-    return true;
   }
 
   bool EmitBridge(RhsNode call, std::uint32_t ctx,
@@ -929,34 +657,12 @@ class Compiler {
     ref.off = static_cast<std::uint32_t>(plan_.code.size());
     ref.len = static_cast<std::uint32_t>(tmp.size());
     for (const LoweredInsn& insn : tmp) {
-      switch (insn.op) {
-        case LowerOp::kChild:
-        case LowerOp::kRopeChild:
-          ++ref.n_child;
-          break;
-        case LowerOp::kSib:
-        case LowerOp::kRopeSib:
-          ++ref.n_sib;
-          break;
-        case LowerOp::kRopeOpen:
-        case LowerOp::kRopeClose:
-        case LowerOp::kRopeText:
-        case LowerOp::kRopeOpenCur:
-        case LowerOp::kRopeCloseCur:
-          ref.prealloc_bytes += kPreallocPerAppend;
-          break;
-        default:
-          break;
-      }
-      if (insn.op == LowerOp::kRopeChild || insn.op == LowerOp::kRopeSib) {
-        ref.prealloc_bytes += kPreallocPerSpawn;
-      }
+      if (insn.op == LowerOp::kChild) ++ref.n_child;
+      if (insn.op == LowerOp::kSib) ++ref.n_sib;
     }
     if (!tmp.empty()) {
       const LowerOp last = tmp.back().op;
-      ref.tail_spawn = last == LowerOp::kChild || last == LowerOp::kSib ||
-                       last == LowerOp::kRopeChild ||
-                       last == LowerOp::kRopeSib;
+      ref.tail_spawn = last == LowerOp::kChild || last == LowerOp::kSib;
     }
     ref.simple_sib = tmp.size() == 1 && tmp[0].op == LowerOp::kSib;
     plan_.code.insert(plan_.code.end(), tmp.begin(), tmp.end());
@@ -975,7 +681,6 @@ class Compiler {
   LoweredPlan plan_;
   std::vector<StateClass> class_;
   std::vector<bool> sel_;      // selector-cluster shape (factoring license)
-  std::vector<bool> app_;      // append-only shape (rope registers)
   std::vector<bool> escapes_;  // x0-closure can read following siblings
   std::vector<RhsNode> sites_;        // bridge call sites, deduplicated
   std::set<StateId> site_states_;     // bridged callee states (for the note)

@@ -21,24 +21,16 @@
 // memoized per (state, context); an x0 cycle (which the lazy engine would
 // grind through its step budget) makes the plan unlowerable instead.
 //
-// Accumulating parameters (this file's PR 10 extension) lower two ways:
+// Parameter-carrying states never run on the opcode core. The Section 4.1
+// optimizations leave parameters in translated plans only in predicate
+// selector clusters, and those reach the core through table bridges:
 //
-//   * Append-only parameters become *rope registers*: a bounded number
-//     (kMaxRopeParams) of byte ropes whose chunks come from the engine's
-//     mark/reset bump arena — no refcounting on the fast path. The analysis
-//     admits a state when every rule threads each parameter linearly (used
-//     at most once, extended only by appending emission-only output) and
-//     the compiler emits the kRope* opcode family: stage fresh ropes,
-//     append literal/current-label records, splice a parameter through,
-//     spawn the callee with the staged register file, or emit a register
-//     into the output stream.
-//   * Everything else that is *anchor-local* bridges to the table engine:
-//     an x0 call to a general parameter-carrying state (or to a plain state
-//     that matches on text content) whose arguments are free of x2 lowers
-//     to kBridge — a sub-run of the lazy table machine over exactly the
-//     anchor subtree, spliced into the output at the call position. The
-//     caller keeps running on the opcode core; the plan is *hybrid*.
-//     Call sites whose arguments share a common suffix (the translation's
+//   * An x0 call to a parameter-carrying state whose arguments are free of
+//     x2 lowers to kBridge — a sub-run of the lazy table machine over
+//     exactly the anchor subtree, spliced into the output at the call
+//     position. The caller keeps running on the opcode core; the plan is
+//     *hybrid*.
+//   * Call sites whose arguments share a common suffix (the translation's
 //     `q(x0, A·C, B·C)` shape, where the suffix is the sibling-scan
 //     continuation) are factored first: when the callee is a pure
 //     *selector* cluster — every rule passes parameters through verbatim
@@ -47,6 +39,9 @@
 //     caller code, which makes the residuals x2-free and keeps the scan on
 //     the opcode engine. This is what takes the q01/q04-style predicate
 //     queries off the pure table path.
+//
+// Any other parameter-carrying call (over x1 or x2), and any call to a
+// plain state that matches on text content, makes the plan unlowerable.
 //
 // A plan is lowerable iff every reachable call site lands in one of those
 // classes, x0-call inlining terminates, and the generated code stays under
@@ -81,29 +76,10 @@ enum class LowerOp : unsigned char {
   kSib,          ///< continue in state arg over the node's following siblings
   // Hybrid execution: a table-machine sub-run over the anchor subtree.
   kBridge,       ///< arg = (BridgeCtx << kBridgeCtxShift) | site index
-  // Rope registers for append-only accumulating parameters. A program
-  // stages the callee's register file one rope at a time (kRopeNew opens a
-  // fresh staging rope; the append/splice ops extend the most recently
-  // staged one), then hands the staged file to the spawned consumer.
-  kRopeNew,       ///< stage a fresh empty rope
-  kRopeOpen,      ///< append <arg> to the staging rope
-  kRopeClose,     ///< append </arg> to the staging rope
-  kRopeText,      ///< append text literal arg to the staging rope
-  kRopeOpenCur,   ///< append <current-label> to the staging rope
-  kRopeCloseCur,  ///< append </current-label> to the staging rope
-  kRopeTextCur,   ///< append the text node's content to the staging rope
-  kRopeSplice,    ///< move own register arg onto the staging rope (linear)
-  kRopeChild,     ///< kChild with the staged register file as arguments
-  kRopeSib,       ///< kSib with the staged register file as arguments
-  kRopeEmit,      ///< copy own register arg into the output stream
 };
 
-/// Number of LowerOp values (dispatch-table size for the execution loop).
-inline constexpr int kNumLowerOps = 20;
-
-/// Bound on rope registers per state (parameters of an append-only state).
-/// Small by design: the register file travels inline with each consumer.
-inline constexpr std::uint32_t kMaxRopeParams = 4;
+/// Number of LowerOp values.
+inline constexpr int kNumLowerOps = static_cast<int>(LowerOp::kBridge) + 1;
 
 /// The input context a kBridge site anchors to, packed into the high bits
 /// of the instruction argument (the low bits are the site index).
@@ -125,22 +101,14 @@ struct LoweredInsn {
 struct LoweredProgramRef {
   std::uint32_t off = 0;
   std::uint32_t len = 0;
-  std::uint32_t n_child = 0;  ///< number of kChild/kRopeChild instructions
-  std::uint32_t n_sib = 0;    ///< number of kSib/kRopeSib instructions
-  /// Upper bound on arena bytes the program allocates for rope chunks and
-  /// staged register files. Charged as one block *before* the event's child
-  /// mark, so ropes handed to sibling continuations survive the subtree
-  /// reset (the register-file analogue of the consumer-array growth rule).
-  std::uint32_t prealloc_bytes = 0;
-  /// Last instruction is kChild/kSib (or a rope spawn): the spawned
-  /// consumer inherits the writer's output segment instead of splitting it
-  /// (the program writes nothing after the spawn). Collapses scan states to
-  /// zero segment churn.
+  std::uint32_t n_child = 0;  ///< number of kChild instructions
+  std::uint32_t n_sib = 0;    ///< number of kSib instructions
+  /// Last instruction is kChild/kSib: the spawned consumer inherits the
+  /// writer's output segment instead of splitting it (the program writes
+  /// nothing after the spawn). Collapses scan states to zero segment churn.
   bool tail_spawn = false;
   /// The program is exactly [kSib q]: the consumer just retargets to q and
-  /// skips the subtree — no allocation, no segment work. (An identity
-  /// parameter pass `q(x2, y1..yn)` compiles to exactly this: the consumer
-  /// keeps its register file.)
+  /// skips the subtree — no allocation, no segment work.
   bool simple_sib = false;
 };
 
@@ -152,7 +120,6 @@ struct LoweredState {
   LoweredProgramRef element_default;       ///< element ids >= width
   LoweredProgramRef text;                  ///< any text node
   LoweredProgramRef eps;                   ///< end of the consumed forest
-  std::uint8_t n_ropes = 0;  ///< rope registers (the state's parameters)
 };
 
 /// \brief The lowered form of a transducer. Immutable once built; shared by

@@ -13,33 +13,12 @@ namespace lower {
 namespace {
 constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
 constexpr std::size_t kAlign = alignof(std::max_align_t);
-// Default rope-chunk payload capacity: nine packed 5-byte records. Together
-// with the 16-byte header this stays inside the per-append prealloc budget
-// (lower.cc's kPreallocPerAppend) — the invariant that keeps element-context
-// rope appends inside the pre-mark block.
-constexpr std::uint32_t kRopeChunkCap = 48;
 // Segment pool: chunk slots are 32 B << class, carved from kChunkBytes
 // blocks.
 constexpr unsigned kSlotShift = 5;
 // Segment chains grow geometrically up to 4 KiB slots; a larger chunk only
 // ever holds one oversized record.
 constexpr unsigned kGrowMaxClass = 7;
-
-// The one append routine for ropes and segments: room for an n-byte unit
-// (whole records) at the end of `chain`, growing it with new_chunk(tail, n)
-// when the tail chunk cannot hold the unit.
-template <typename Chain, typename NewChunk>
-char* AppendRoom(Chain* chain, std::uint32_t n, NewChunk&& new_chunk) {
-  auto* t = chain->tail;
-  if (t == nullptr || t->cap - t->len < n) {
-    t = new_chunk(t, n);
-    t->len = 0;
-    chain->Push(t);
-  }
-  char* p = t->bytes() + t->len;
-  t->len += n;
-  return p;
-}
 }  // namespace
 
 void* OpsEngine::BumpArena::Alloc(std::size_t n) {
@@ -220,13 +199,18 @@ char* OpsEngine::SegmentRoom(Segment* s, std::uint32_t n) {
     Segment* p = s->prev();
     if (p != nullptr && p->closed()) chain = &p->chain;
   }
-  return AppendRoom(chain, n, [this](const Chunk* tail, std::uint32_t m) {
+  Chunk* t = chain->tail;
+  if (t == nullptr || t->cap - t->len < n) {
     const unsigned min_class =
-        tail == nullptr
-            ? 0u
-            : std::min(SegmentPool::ClassOf(tail) + 1, kGrowMaxClass);
-    return pool_.NewChunk(m, min_class);
-  });
+        t == nullptr ? 0u
+                     : std::min(SegmentPool::ClassOf(t) + 1, kGrowMaxClass);
+    t = pool_.NewChunk(n, min_class);
+    t->len = 0;
+    chain->Push(t);
+  }
+  char* p = t->bytes() + t->len;
+  t->len += n;
+  return p;
 }
 
 void OpsEngine::Coalesce() {
@@ -389,61 +373,6 @@ Status OpsEngine::ChargeSteps(std::uint64_t n) {
   return Status::OK();
 }
 
-// ------------------------------------------------------------------- ropes
-
-void* OpsEngine::RopeAlloc(std::size_t n) {
-  n = (n + 7u) & ~std::size_t{7};
-  if (prealloc_cur_ != nullptr &&
-      static_cast<std::size_t>(prealloc_end_ - prealloc_cur_) >= n) {
-    void* p = prealloc_cur_;
-    prealloc_cur_ += n;
-    return p;
-  }
-  // No block armed (text events take no mark, so a direct allocation is
-  // lifetime-safe) or — defensively — the static budget was short.
-  return arena_.Alloc(n);
-}
-
-char* OpsEngine::RopeRoom(Rope* rope, std::uint32_t n) {
-  return AppendRoom(rope, n, [this](const Chunk*, std::uint32_t m) {
-    const std::uint32_t cap = std::max(kRopeChunkCap, m);
-    Chunk* c = static_cast<Chunk*>(RopeAlloc(sizeof(Chunk) + cap));
-    c->cap = cap;
-    return c;
-  });
-}
-
-void OpsEngine::RopePack(Rope* rope, char tag, std::uint32_t v) {
-  PackTag(RopeRoom(rope, 5), tag, v);
-}
-
-void OpsEngine::RopeEmit(Segment* cur, Rope* rope) {
-  if (cur == live_) {
-    ReplayChain(*rope);
-  } else if (!rope->empty()) {
-    // Chunk by chunk: each holds whole records, so each is one unit.
-    const Chunk* c = rope->tail->next;
-    for (;;) {
-      std::memcpy(SegmentRoom(cur, c->len), c->bytes(), c->len);
-      if (c == rope->tail) break;
-      c = c->next;
-    }
-  }
-  // Linear discipline: a register is consumed by its one use. Clearing it
-  // keeps a buggy double-use from replaying stale chunks.
-  *rope = Rope{};
-}
-
-OpsEngine::Rope* OpsEngine::MaterializeFile() {
-  Rope* file = static_cast<Rope*>(RopeAlloc(sizeof(Rope) * kMaxRopeParams));
-  for (std::uint32_t i = 0; i < kMaxRopeParams; ++i) {
-    file[i] = i < staged_n_ ? staged_[i] : Rope{};
-    staged_[i] = Rope{};
-  }
-  staged_n_ = 0;
-  return file;
-}
-
 // ----------------------------------------------------------------- bridges
 
 void OpsEngine::SegSink::StartElement(std::string_view name) {
@@ -527,168 +456,11 @@ Status OpsEngine::CompleteBridges() {
 
 void OpsEngine::ExecProgram(const LoweredProgramRef& ref, Segment* cur,
                             SymbolId sym, std::string_view text,
-                            const XmlEvent* event, Rope* ropes,
-                            Consumer* child_out, std::uint32_t* child_n,
-                            Consumer* sib_out, std::uint32_t* sib_n) {
+                            const XmlEvent* event, Consumer* child_out,
+                            std::uint32_t* child_n, Consumer* sib_out,
+                            std::uint32_t* sib_n) {
   const LoweredInsn* pc = plan_->code.data() + ref.off;
   const LoweredInsn* const end = pc + ref.len;
-
-#if defined(__GNUC__) || defined(__clang__)
-  // Direct-threaded dispatch: each handler jumps straight to the next
-  // instruction's handler, giving the branch predictor one indirect target
-  // per opcode instead of a single shared switch branch.
-  static const void* const kJump[kNumLowerOps] = {
-      &&op_open_lit,      &&op_close_lit,      &&op_open_cur,
-      &&op_close_cur,     &&op_text_lit,       &&op_text_cur,
-      &&op_child,         &&op_sib,            &&op_bridge,
-      &&op_rope_new,      &&op_rope_open,      &&op_rope_close,
-      &&op_rope_text,     &&op_rope_open_cur,  &&op_rope_close_cur,
-      &&op_rope_text_cur, &&op_rope_splice,    &&op_rope_child,
-      &&op_rope_sib,      &&op_rope_emit,
-  };
-#define XQMFT_OPS_DISPATCH()                          \
-  do {                                                \
-    if (pc == end) goto op_done;                      \
-    goto* kJump[static_cast<unsigned>(pc->op)];       \
-  } while (0)
-
-  XQMFT_OPS_DISPATCH();
-op_open_lit:
-  EmitStart(cur, pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_close_lit:
-  EmitEnd(cur, pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_open_cur:
-  EmitStart(cur, sym);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_close_cur:
-  EmitEnd(cur, sym);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_text_lit:
-  EmitTextSym(cur, pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_text_cur:
-  EmitTextBytes(cur, text);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_child: {
-  const std::uint32_t q = pc->arg;
-  ++pc;
-  if (pc == end) {
-    // Tail spawn: the child inherits the writer's segment outright (and its
-    // register file — the identity parameter pass compiles to this).
-    child_out[(*child_n)++] = Consumer{q, cur, ropes};
-    return;
-  }
-  Segment* child_seg = SplitAfter(cur);
-  child_out[(*child_n)++] = Consumer{q, child_seg, ropes};
-  cur = InsertAfter(child_seg);
-  XQMFT_OPS_DISPATCH();
-}
-op_sib: {
-  const std::uint32_t q = pc->arg;
-  ++pc;
-  if (pc == end) {
-    sib_out[(*sib_n)++] = Consumer{q, cur, ropes};
-    return;
-  }
-  Segment* sib_seg = SplitAfter(cur);
-  sib_out[(*sib_n)++] = Consumer{q, sib_seg, ropes};
-  cur = InsertAfter(sib_seg);
-  XQMFT_OPS_DISPATCH();
-}
-op_bridge: {
-  const std::uint32_t site = pc->arg & kBridgeSiteMask;
-  const BridgeCtx bctx = static_cast<BridgeCtx>(pc->arg >> kBridgeCtxShift);
-  ++pc;
-  if (bctx == BridgeCtx::kElement) {
-    if (pc == end) {
-      // Tail bridge: the sub-run takes over the segment outright; it closes
-      // at the anchor's EndElement.
-      StartElementBridge(site, cur, event, sym);
-      return;
-    }
-    Segment* bseg = SplitAfter(cur);
-    StartElementBridge(site, bseg, event, sym);
-    cur = InsertAfter(bseg);
-  } else {
-    RunInlineBridge(site, cur, bctx == BridgeCtx::kText ? event : nullptr);
-  }
-  XQMFT_OPS_DISPATCH();
-}
-op_rope_new:
-  staged_[staged_n_++] = Rope{};
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_open:
-  RopePack(&staged_[staged_n_ - 1], 'S', pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_close:
-  RopePack(&staged_[staged_n_ - 1], 'E', pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_text:
-  RopePack(&staged_[staged_n_ - 1], 'L', pc->arg);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_open_cur:
-  RopePack(&staged_[staged_n_ - 1], 'S', sym);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_close_cur:
-  RopePack(&staged_[staged_n_ - 1], 'E', sym);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_text_cur:
-  PackText(RopeRoom(&staged_[staged_n_ - 1], TextRecordSize(text)), text);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_splice:
-  staged_[staged_n_ - 1].Splice(&ropes[pc->arg]);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_rope_child: {
-  const std::uint32_t q = pc->arg;
-  Rope* file = MaterializeFile();
-  ++pc;
-  if (pc == end) {
-    child_out[(*child_n)++] = Consumer{q, cur, file};
-    return;
-  }
-  Segment* child_seg = SplitAfter(cur);
-  child_out[(*child_n)++] = Consumer{q, child_seg, file};
-  cur = InsertAfter(child_seg);
-  XQMFT_OPS_DISPATCH();
-}
-op_rope_sib: {
-  const std::uint32_t q = pc->arg;
-  Rope* file = MaterializeFile();
-  ++pc;
-  if (pc == end) {
-    sib_out[(*sib_n)++] = Consumer{q, cur, file};
-    return;
-  }
-  Segment* sib_seg = SplitAfter(cur);
-  sib_out[(*sib_n)++] = Consumer{q, sib_seg, file};
-  cur = InsertAfter(sib_seg);
-  XQMFT_OPS_DISPATCH();
-}
-op_rope_emit:
-  RopeEmit(cur, &ropes[pc->arg]);
-  ++pc;
-  XQMFT_OPS_DISPATCH();
-op_done:
-  CloseSegment(cur);
-#undef XQMFT_OPS_DISPATCH
-#else
-  // Portable fallback: plain switch dispatch, same semantics.
   while (pc != end) {
     const LoweredInsn insn = *pc++;
     switch (insn.op) {
@@ -712,21 +484,22 @@ op_done:
         break;
       case LowerOp::kChild: {
         if (pc == end) {
-          child_out[(*child_n)++] = Consumer{insn.arg, cur, ropes};
+          // Tail spawn: the child inherits the writer's segment outright.
+          child_out[(*child_n)++] = Consumer{insn.arg, cur};
           return;
         }
         Segment* child_seg = SplitAfter(cur);
-        child_out[(*child_n)++] = Consumer{insn.arg, child_seg, ropes};
+        child_out[(*child_n)++] = Consumer{insn.arg, child_seg};
         cur = InsertAfter(child_seg);
         break;
       }
       case LowerOp::kSib: {
         if (pc == end) {
-          sib_out[(*sib_n)++] = Consumer{insn.arg, cur, ropes};
+          sib_out[(*sib_n)++] = Consumer{insn.arg, cur};
           return;
         }
         Segment* sib_seg = SplitAfter(cur);
-        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg, ropes};
+        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg};
         cur = InsertAfter(sib_seg);
         break;
       }
@@ -736,6 +509,8 @@ op_done:
             static_cast<BridgeCtx>(insn.arg >> kBridgeCtxShift);
         if (bctx == BridgeCtx::kElement) {
           if (pc == end) {
+            // Tail bridge: the sub-run takes over the segment outright; it
+            // closes at the anchor's EndElement.
             StartElementBridge(site, cur, event, sym);
             return;
           }
@@ -748,60 +523,9 @@ op_done:
         }
         break;
       }
-      case LowerOp::kRopeNew:
-        staged_[staged_n_++] = Rope{};
-        break;
-      case LowerOp::kRopeOpen:
-        RopePack(&staged_[staged_n_ - 1], 'S', insn.arg);
-        break;
-      case LowerOp::kRopeClose:
-        RopePack(&staged_[staged_n_ - 1], 'E', insn.arg);
-        break;
-      case LowerOp::kRopeText:
-        RopePack(&staged_[staged_n_ - 1], 'L', insn.arg);
-        break;
-      case LowerOp::kRopeOpenCur:
-        RopePack(&staged_[staged_n_ - 1], 'S', sym);
-        break;
-      case LowerOp::kRopeCloseCur:
-        RopePack(&staged_[staged_n_ - 1], 'E', sym);
-        break;
-      case LowerOp::kRopeTextCur:
-        PackText(RopeRoom(&staged_[staged_n_ - 1], TextRecordSize(text)),
-                 text);
-        break;
-      case LowerOp::kRopeSplice:
-        staged_[staged_n_ - 1].Splice(&ropes[insn.arg]);
-        break;
-      case LowerOp::kRopeChild: {
-        Rope* file = MaterializeFile();
-        if (pc == end) {
-          child_out[(*child_n)++] = Consumer{insn.arg, cur, file};
-          return;
-        }
-        Segment* child_seg = SplitAfter(cur);
-        child_out[(*child_n)++] = Consumer{insn.arg, child_seg, file};
-        cur = InsertAfter(child_seg);
-        break;
-      }
-      case LowerOp::kRopeSib: {
-        Rope* file = MaterializeFile();
-        if (pc == end) {
-          sib_out[(*sib_n)++] = Consumer{insn.arg, cur, file};
-          return;
-        }
-        Segment* sib_seg = SplitAfter(cur);
-        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg, file};
-        cur = InsertAfter(sib_seg);
-        break;
-      }
-      case LowerOp::kRopeEmit:
-        RopeEmit(cur, &ropes[insn.arg]);
-        break;
     }
   }
   CloseSegment(cur);
-#endif
 }
 
 Status OpsEngine::Prime() {
@@ -813,8 +537,7 @@ Status OpsEngine::Prime() {
   Scope scope;
   scope.mark = arena_.TakeMark();
   scope.items = AllocConsumers(1);
-  scope.items[0] = Consumer{static_cast<std::uint32_t>(plan_->initial), root,
-                            nullptr};
+  scope.items[0] = Consumer{static_cast<std::uint32_t>(plan_->initial), root};
   scope.count = 1;
   scope.cap = 1;
   scopes_.push_back(scope);
@@ -897,7 +620,6 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
   scratch_.clear();
   std::uint32_t total_child = 0;
   std::uint32_t total_sib = 0;
-  std::uint32_t total_prealloc = 0;
   bool all_simple = true;
   for (std::uint32_t i = 0; i < top.count; ++i) {
     const Consumer& c = top.items[i];
@@ -907,14 +629,12 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
     all_simple = all_simple && prog->simple_sib;
     total_child += prog->n_child;
     total_sib += prog->n_sib;
-    total_prealloc += prog->prealloc_bytes;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg, c.ropes});
+    scratch_.push_back(PendingExec{c.state, prog, c.seg});
   }
 
   if (all_simple) {
     // Every consumer just retargets over the siblings and skips the
     // subtree: no allocation, no segment traffic — the scan hot path.
-    // Register files ride along untouched (the identity parameter pass).
     for (std::uint32_t i = 0; i < top.count; ++i) {
       top.items[i].state = plan_->code[scratch_[i].prog->off].arg;
     }
@@ -935,18 +655,6 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
     sib_cap = std::max(total_sib, top.cap * 2);
     sibs = AllocConsumers(sib_cap);
   }
-  // Arm the pre-mark rope block: chunks appended and register files staged
-  // during this event may be handed to sibling continuations, which outlive
-  // the subtree reset — so their bytes must precede the mark. The static
-  // per-program budget makes the block an upper bound.
-  if (total_prealloc > 0) {
-    char* block = static_cast<char*>(arena_.Alloc(total_prealloc));
-    prealloc_cur_ = block;
-    prealloc_end_ = block + total_prealloc;
-  } else {
-    prealloc_cur_ = nullptr;
-    prealloc_end_ = nullptr;
-  }
   const BumpArena::Mark mark = arena_.TakeMark();
   Consumer* children =
       total_child > 0 ? AllocConsumers(total_child) : nullptr;
@@ -954,8 +662,8 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
   std::uint32_t n_child = 0;
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
-    ExecProgram(*p.prog, p.seg, sym, std::string_view(), &event, p.ropes,
-                children, &n_child, sibs, &n_sib);
+    ExecProgram(*p.prog, p.seg, sym, std::string_view(), &event, children,
+                &n_child, sibs, &n_sib);
   }
 
   total_consumers_ += n_sib + n_child;
@@ -987,12 +695,6 @@ Status OpsEngine::OnText(const XmlEvent& event) {
 
   XQMFT_RETURN_NOT_OK(ChargeSteps(top.count));
 
-  // Text events take no mark: rope chunks and register files alloc straight
-  // from the arena (they live until the enclosing element closes — exactly
-  // as long as any consumer that can hold them).
-  prealloc_cur_ = nullptr;
-  prealloc_end_ = nullptr;
-
   scratch_.clear();
   std::uint32_t total_sib = 0;
   bool all_simple = true;
@@ -1001,7 +703,7 @@ Status OpsEngine::OnText(const XmlEvent& event) {
     const LoweredProgramRef* prog = &plan_->states[c.state].text;
     all_simple = all_simple && prog->simple_sib;
     total_sib += prog->n_sib;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg, c.ropes});
+    scratch_.push_back(PendingExec{c.state, prog, c.seg});
   }
 
   if (all_simple) {
@@ -1024,8 +726,8 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
     std::uint32_t n_child = 0;
-    ExecProgram(*p.prog, p.seg, kInvalidSymbol, event.text, &event, p.ropes,
-                nullptr, &n_child, sibs, &n_sib);
+    ExecProgram(*p.prog, p.seg, kInvalidSymbol, event.text, &event, nullptr,
+                &n_child, sibs, &n_sib);
   }
 
   total_consumers_ += n_sib;
@@ -1052,11 +754,11 @@ Status OpsEngine::OnEndElement() {
     const Consumer& c = top.items[i];
     std::uint32_t n_child = 0;
     std::uint32_t n_sib = 0;
-    // Epsilon programs are emission-only (register emits and eps bridges
-    // included); ExecProgram closes the segment.
+    // Epsilon programs are emission-only (eps bridges included);
+    // ExecProgram closes the segment.
     ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, c.ropes, nullptr, &n_child,
-                nullptr, &n_sib);
+                std::string_view(), nullptr, nullptr, &n_child, nullptr,
+                &n_sib);
   }
   total_consumers_ -= top.count;
   scopes_.pop_back();
@@ -1076,8 +778,8 @@ Status OpsEngine::OnEndOfDocument() {
     std::uint32_t n_child = 0;
     std::uint32_t n_sib = 0;
     ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, c.ropes, nullptr, &n_child,
-                nullptr, &n_sib);
+                std::string_view(), nullptr, nullptr, &n_child, nullptr,
+                &n_sib);
   }
   total_consumers_ -= top.count;
   top.count = 0;

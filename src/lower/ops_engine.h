@@ -1,16 +1,16 @@
-// Register-machine execution core for lowered plans.
+// Opcode execution core for lowered plans.
 //
 // Where the table engine materializes the output as a lazy thunk graph, the
 // ops engine executes one straight-line program per (consumer, input event)
 // and never allocates a thunk:
 //
-//   * A *consumer* is a (state, output segment, register file) triple
-//     positioned in some forest of the input. Each element/text event runs
-//     the consumer's program for that label; kSib instructions yield the
-//     consumer's continuations over the following siblings, kChild
-//     instructions spawn consumers over the element's children. At the end
-//     of a forest (EndElement of the parent) the epsilon program runs and
-//     the consumer dies.
+//   * A *consumer* is a (state, output segment) pair positioned in some
+//     forest of the input. Each element/text event runs the consumer's
+//     program for that label; kSib instructions yield the consumer's
+//     continuations over the following siblings, kChild instructions spawn
+//     consumers over the element's children. At the end of a forest
+//     (EndElement of the parent) the epsilon program runs and the consumer
+//     dies.
 //   * Consumer records live in a bump arena. The static lowering analysis
 //     already proved them non-escaping — a consumer never outlives the
 //     subtree of the scope that spawned it — so closing an element resets
@@ -41,20 +41,10 @@
 //     live segments number at most 2 × open writers + 1 — bounded by the
 //     consumers on the current input path, not by the buffered output
 //     (StreamStats::segments_peak reports the maximum).
-//   * Append-only accumulating parameters are *rope registers*: per-consumer
-//     chunk chains of the same type, whose chunks come from the same
-//     mark/reset arena as the consumer records (no refcounting). A program
-//     stages the callee's register file with the kRope* opcodes — appends
-//     are packed output records, a splice is an O(1) chunk-chain move (the
-//     compile-time linearity discipline makes moves safe), and kRopeEmit
-//     copies a register into the output stream. Chunks are drawn from a
-//     block pre-allocated *before* the event's child mark (LoweredProgramRef
-//     ::prealloc_bytes bounds it statically), so ropes handed to sibling
-//     continuations survive the subtree reset.
 //   * Peak memory (StreamStats::peak_bytes) counts what the engine holds:
-//     live arena bytes (consumer records, rope chunks, register files) plus
-//     segment headers and whole segment chunk slots in use. Free-list and
-//     arena capacity kept for reuse is not counted. For a copying query the
+//     live arena bytes (consumer records) plus segment headers and whole
+//     segment chunk slots in use. Free-list and arena capacity kept for
+//     reuse is not counted. For a copying query the
 //     peak is the packed buffered output plus O(live consumers).
 //   * kBridge instructions execute *hybrid* plans: the site's anchor subtree
 //     is run through a table-machine sub-run (built by the BridgeFactory the
@@ -128,8 +118,7 @@ class OpsEngine {
  private:
   // One chunk of packed records: a header followed by `cap` payload bytes.
   // A record never straddles two chunks, so every chain replays chunk by
-  // chunk. Rope chunks come from the bump arena, segment chunks from the
-  // segment pool.
+  // chunk. Chunks come from the segment pool.
   struct Chunk {
     Chunk* next;
     std::uint32_t len;
@@ -139,9 +128,7 @@ class OpsEngine {
   };
 
   // A chain of chunks, kept circular so one pointer serves both ends:
-  // `tail` is the chunk appends go to and tail->next the first chunk. Plain
-  // old data — rope register files are arena arrays of these, moved by
-  // pointer swap (the linearity discipline).
+  // `tail` is the chunk appends go to and tail->next the first chunk.
   struct ChunkChain {
     Chunk* tail = nullptr;
 
@@ -168,9 +155,6 @@ class OpsEngine {
       other->tail = nullptr;
     }
   };
-
-  // A rope register: a chain of arena chunks (RopeRoom).
-  using Rope = ChunkChain;
 
   // A single-writer span of the output stream, in a doubly linked chain
   // ordered by final output position. The header is 24 bytes: `prev_bits`
@@ -229,8 +213,8 @@ class OpsEngine {
   struct Consumer {
     std::uint32_t state;
     Segment* seg;
-    Rope* ropes;  ///< register file, null for parameter-free states
   };
+  static_assert(sizeof(Consumer) == 16, "consumer records stay 16 bytes");
 
   // Bump allocator for consumer records. Reset(mark) retires everything
   // allocated since Mark() in O(1); chunks are retained for reuse. Only the
@@ -285,7 +269,6 @@ class OpsEngine {
     std::uint32_t state;
     const LoweredProgramRef* prog;
     Segment* seg;
-    Rope* ropes;
   };
 
   // Adapts the OutputSink interface back onto a segment: a bridged table
@@ -329,14 +312,13 @@ class OpsEngine {
   Status OnEndOfDocument();
 
   // Runs one program over the current event. `cur` is the consumer's
-  // segment; `ropes` its register file; `event` the driving input event
-  // (null for epsilon programs — only bridges read it). Spawns append to
-  // child_out/sib_out (counts via *child_n / *sib_n). Closes `cur` unless
-  // the final instruction handed it off. Failures (a bridge site without a
-  // factory, a sub-run error) land in exec_status_ — callers check after
-  // the event's programs ran.
+  // segment; `event` the driving input event (null for epsilon programs —
+  // only bridges read it). Spawns append to child_out/sib_out (counts via
+  // *child_n / *sib_n). Closes `cur` unless the final instruction handed it
+  // off. Failures (a bridge site without a factory, a sub-run error) land in
+  // exec_status_ — callers check after the event's programs ran.
   void ExecProgram(const LoweredProgramRef& ref, Segment* cur, SymbolId sym,
-                   std::string_view text, const XmlEvent* event, Rope* ropes,
+                   std::string_view text, const XmlEvent* event,
                    Consumer* child_out, std::uint32_t* child_n,
                    Consumer* sib_out, std::uint32_t* sib_n);
 
@@ -355,10 +337,8 @@ class OpsEngine {
   Segment* SplitAfter(Segment* cur);
   Segment* InsertAfter(Segment* prev);
 
-  // Room for an n-byte unit (whole records) at the end of a segment's or a
-  // rope's chain; both go through the one AppendRoom routine in the .cc.
+  // Room for an n-byte unit (whole records) at the end of a segment's chain.
   char* SegmentRoom(Segment* s, std::uint32_t n);
-  char* RopeRoom(Rope* rope, std::uint32_t n);
 
   void EmitStart(Segment* s, SymbolId sym);
   void EmitEnd(Segment* s, SymbolId sym);
@@ -371,14 +351,6 @@ class OpsEngine {
   // neighbours (see the header comment for the invariant).
   void Coalesce();
   void Absorb(Segment* into, Segment* from);
-
-  // Rope machinery. RopeAlloc serves from the event's pre-mark block when
-  // one is armed (element events) and falls back to the arena (text events
-  // take no mark, so a direct allocation is lifetime-safe there).
-  void* RopeAlloc(std::size_t n);
-  void RopePack(Rope* rope, char tag, std::uint32_t v);
-  void RopeEmit(Segment* cur, Rope* rope);
-  Rope* MaterializeFile();
 
   // Bridge machinery: starts the sub-run for `site` over an element anchor
   // writing into `seg` (the anchor StartElement is fed from `event`), or
@@ -412,13 +384,6 @@ class OpsEngine {
   std::vector<PendingExec> scratch_;
   std::uint64_t skip_depth_ = 0;     ///< open elements with no consumer
   std::uint64_t total_consumers_ = 0;
-
-  // Staged register file for the next rope spawn, and the event's pre-mark
-  // allocation block (see LoweredProgramRef::prealloc_bytes).
-  Rope staged_[kMaxRopeParams];
-  std::uint32_t staged_n_ = 0;
-  char* prealloc_cur_ = nullptr;
-  char* prealloc_end_ = nullptr;
 
   // Active element-anchored bridge sub-runs, a stack ordered by anchor
   // depth (anchors nest with the input). depth_ counts open elements of the

@@ -35,12 +35,11 @@ class SchemaValidator;
 
 /// Which execution core runs the transducer. kAuto (the default) picks the
 /// lowered opcode engine whenever the plan is lowerable (see lower/lower.h)
-/// and falls back to the table machine otherwise; the XQMFT_FORCE_ENGINE
-/// environment variable ("ops"/"table") overrides kAuto only. kOps also
-/// falls back to the table machine for unlowerable plans — lowering is a
-/// fast path, never a capability switch; callers that want to report the
-/// fallback (the CLI does) ask lower::GetLoweredPlan for the reason.
-enum class EngineChoice : unsigned char { kAuto, kTable, kOps };
+/// and falls back to the table machine otherwise — lowering is a fast path,
+/// never a capability switch; callers that want to report the fallback (the
+/// CLI's --stats does) ask lower::GetLoweredPlan for the reason. kTable pins
+/// the table machine.
+enum class EngineChoice : unsigned char { kAuto, kTable };
 
 struct StreamOptions {
   /// Rule applications before aborting with ResourceExhausted (guards

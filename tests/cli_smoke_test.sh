@@ -173,13 +173,13 @@ case "$CASE" in
     expect_contains "$OUT" "$WANT"
     ;;
   run_engine_ops)
-    # Forced lowered engine: byte-identical output, and --stats reports the
-    # engine that actually served, the arena cell accounting, and (last
-    # field) the segment high-water mark, which the table engine leaves 0.
-    OUT=$("$XQMFT" run --engine=ops "$QUERY" "$XML") || fail "exit $?"
+    # The default engine serves a lowerable plan from the opcode core:
+    # --stats reports the engine that actually served, the arena cell
+    # accounting, and (last field) the segment high-water mark, which the
+    # table engine leaves 0.
+    OUT=$("$XQMFT" run "$QUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
-    STATS=$("$XQMFT" run --engine ops --stats "$QUERY" "$XML" 2>&1) \
-      || fail "exit $?"
+    STATS=$("$XQMFT" run --stats "$QUERY" "$XML" 2>&1) || fail "exit $?"
     expect_contains "$STATS" "engine: ops"
     expect_contains "$STATS" "cells refcounted: 0"
     case "$STATS" in
@@ -195,16 +195,19 @@ case "$CASE" in
     expect_contains "$TSTATS" "engine: table"
     expect_contains "$TSTATS" "cells arena: 0"
     expect_contains "$TSTATS" "segments peak: 0"
-    # A bogus engine name is a usage error.
+    # Any other engine name is a usage error; the opcode core is not a
+    # choice, it serves whenever the plan lowers.
     "$XQMFT" run --engine=bogus "$QUERY" "$XML" 2>/dev/null \
       && fail "expected nonzero exit for --engine=bogus"
+    "$XQMFT" run --engine=ops "$QUERY" "$XML" 2>/dev/null \
+      && fail "expected nonzero exit for --engine=ops"
     ;;
   run_engine_fallback)
-    # --engine=ops on a plan that does not lower: every corpus query now
-    # lowers (fully or hybrid), so the fallback needs a hand-written
-    # transducer with a nonlinear parameter (y1 y1 is outside the rope
-    # fragment). A stderr note names the reason and the run serves from the
-    # table engine.
+    # A plan that does not lower: every corpus query lowers (fully or
+    # hybrid), so the fallback needs a hand-written transducer whose
+    # accumulating parameter is threaded through a call over the children.
+    # The run serves from the table engine, silently, and --stats names the
+    # reason.
     RULES='q(a(x1)x2) -> q2(x1, m(eps)) q(x2)
 q(%t(x1)x2) -> q(x2)
 q(eps) -> eps
@@ -213,13 +216,11 @@ q2(%t(x1)x2, y1) -> y1
 q2(eps, y1) -> y1'
     AXML="$TMPDIR_SMOKE/fallback.xml"
     printf '<a><a>inner</a></a>' > "$AXML"
-    OUT=$("$XQMFT" mft --engine=ops "$RULES" "$AXML" 2>"$TMPDIR_SMOKE/err") \
+    OUT=$("$XQMFT" mft "$RULES" "$AXML" 2>"$TMPDIR_SMOKE/err") \
       || fail "exit $?"
     expect_contains "$OUT" "<m></m><m></m>"
-    expect_contains "$(cat "$TMPDIR_SMOKE/err")" "not lowerable"
-    expect_contains "$(cat "$TMPDIR_SMOKE/err")" "falling back to table engine"
-    STATS=$("$XQMFT" mft --engine=ops --stats "$RULES" "$AXML" 2>&1) \
-      || fail "exit $?"
+    test -s "$TMPDIR_SMOKE/err" && fail "unexpected stderr: $(cat "$TMPDIR_SMOKE/err")"
+    STATS=$("$XQMFT" mft --stats "$RULES" "$AXML" 2>&1) || fail "exit $?"
     expect_contains "$STATS" "engine: table"
     expect_contains "$STATS" "lowered: no (parameter-carrying call"
     ;;
@@ -228,12 +229,11 @@ q2(eps, y1) -> y1'
     # selector remainder executes as table-machine bridge sub-runs. --stats
     # reports the classification and the bridge-run count.
     PQUERY='<out>{ for $x in $input/doc/item[./text()="a"] return <hit>ok</hit> }</out>'
-    OUT=$("$XQMFT" run --engine=ops "$PQUERY" "$XML") || fail "exit $?"
+    OUT=$("$XQMFT" run "$PQUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "<out><hit>ok</hit></out>"
     TOUT=$("$XQMFT" run --engine=table "$PQUERY" "$XML") || fail "exit $?"
     test "$TOUT" = "$OUT" || fail "table output differs: $TOUT"
-    STATS=$("$XQMFT" run --engine=ops --stats "$PQUERY" "$XML" 2>&1) \
-      || fail "exit $?"
+    STATS=$("$XQMFT" run --stats "$PQUERY" "$XML" 2>&1) || fail "exit $?"
     expect_contains "$STATS" "engine: ops"
     expect_contains "$STATS" "lowered: yes (hybrid"
     expect_contains "$STATS" "bridge runs: 2"

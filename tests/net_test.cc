@@ -149,11 +149,11 @@ TEST(EngineCancelContractTest, TableMachineStopsAtCommittedByte) {
 }
 
 TEST(EngineCancelContractTest, OpsEngineStopsAtCommittedByte) {
-  CheckCancelledRunContract(EngineChoice::kOps, /*expect_ops=*/true);
+  CheckCancelledRunContract(EngineChoice::kAuto, /*expect_ops=*/true);
 }
 
 TEST(EngineCancelContractTest, ExpiredDeadlineTripsAsDeadlineExceeded) {
-  for (EngineChoice choice : {EngineChoice::kTable, EngineChoice::kOps}) {
+  for (EngineChoice choice : {EngineChoice::kTable, EngineChoice::kAuto}) {
     auto plan = CompiledPlan::Compile(kQuery);
     ASSERT_TRUE(plan.ok());
     StreamOptions options;

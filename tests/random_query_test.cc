@@ -15,9 +15,9 @@
 //      cold lookup compiles, warm lookup hits — both byte-identical to the
 //      direct streaming output
 //   9. the lowered opcode engine vs the table engine (lower/): when the
-//      plan lowers, a forced --engine=ops run must be byte-identical to a
-//      forced table run; when it does not, the ops request must fall back
-//      and still match
+//      plan lowers, a default run must be byte-identical to a forced
+//      --engine=table run; when it does not, the default run falls back to
+//      the table engine and must still match
 //
 // All of these must produce identical serialized output (for the sharded
 // paths: identical to the matching serial evaluation — see the in-line
@@ -394,10 +394,10 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
   }
 
   // 9. Lowered opcode engine vs table engine: a forced table run and a
-  // forced ops run must be byte-identical on every document. When the plan
-  // does not lower, the forced ops run exercises the silent fall-back to
-  // the table machine and must still match. The per-run stats confirm
-  // which engine actually served.
+  // default run must be byte-identical on every document. When the plan
+  // does not lower, the default run exercises the silent fall-back to the
+  // table machine and must still match. The per-run stats confirm which
+  // engine actually served.
   {
     std::string why;
     const lower::LoweredPlan* lp = lower::GetLoweredPlan(opt, &why);
@@ -426,7 +426,6 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       ASSERT_FALSE(table_stats.used_ops_engine) << text;
 
       StreamOptions ops_opts;
-      ops_opts.engine = EngineChoice::kOps;
       StringSink ops_sink;
       StreamStats ops_stats;
       Status os = RunMftXml(opt, doc.value, &ops_sink, ops_opts, &ops_stats);

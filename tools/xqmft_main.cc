@@ -18,10 +18,9 @@
 // later runs stream the cache with zero scanning), --threads <N> (parallel
 // sharded streaming: a document set fans out across N workers; a single
 // pretok input splits at top-level forest boundaries; 0 = one worker per
-// hardware thread), --engine table|ops (pin the streaming engine; the
-// default picks the lowered opcode engine whenever the plan qualifies —
-// see lower/lower.h. --engine=ops on an unlowerable plan notes the reason
-// on stderr and runs the table engine).
+// hardware thread), --engine table (pin the table engine; the default
+// picks the lowered opcode engine whenever the plan qualifies — see
+// lower/lower.h — and --stats reports why a plan does not).
 //
 // Multi-query runs: `run` with repeated --query/-q flags (or --query-file,
 // one query per line) streams EVERY query over each input document in a
@@ -106,7 +105,7 @@ int Usage() {
       "  serve --port <N>|--unix <p>  same protocol over sockets\n"
       "  client --port <N>|--unix <p> send stdin requests to a server\n"
       "flags: --no-opt --schema <file> --dag --stats "
-      "--pretok-cache <file> --threads <N> --engine table|ops\n"
+      "--pretok-cache <file> --threads <N> --engine table\n"
       "       --query/-q <q> --query-file <file> --no-union-projection "
       "(multi-query run)\n"
       "       --cache-capacity <N> --cache-bytes <N> --max-line-bytes <N> "
@@ -155,7 +154,7 @@ struct Flags {
   long threads = 0;  ///< 0 = one worker per hardware thread
   long cache_capacity = -1;  ///< serve: max resident plans (-1 = default)
   long cache_bytes = -1;     ///< serve: plan byte budget (-1 = unbounded)
-  EngineChoice engine = EngineChoice::kAuto;  ///< --engine table|ops
+  EngineChoice engine = EngineChoice::kAuto;  ///< --engine table
   std::string schema_path;
   std::string pretok_cache;
   // Socket serving / client (serve --port, client).
@@ -304,35 +303,12 @@ int RunClient(const Flags& flags) {
   return 0;
 }
 
-// --engine value: "table" pins the tree-building machine, "ops" requests
-// the lowered opcode engine (falls back with a note when the plan does not
-// lower). Anything else is a usage error.
+// --engine value: "table" pins the tree-building machine. Anything else is
+// a usage error.
 bool ParseEngine(const std::string& value, Flags* flags) {
-  if (value == "table") {
-    flags->engine = EngineChoice::kTable;
-  } else if (value == "ops") {
-    flags->engine = EngineChoice::kOps;
-  } else {
-    return false;
-  }
+  if (value != "table") return false;
+  flags->engine = EngineChoice::kTable;
   return true;
-}
-
-// When the user asked for the opcode engine explicitly but the plan cannot
-// lower, say why before the run silently serves from the table engine.
-void NoteEngineFallback(const Flags& flags, const Mft& mft) {
-  if (flags.engine != EngineChoice::kOps) return;
-  std::string why;
-  if (lower::GetLoweredPlan(mft, &why) == nullptr) {
-    // The cached reason already reads "not lowerable: ..."; strip the
-    // prefix so the note does not say it twice.
-    const std::string prefix = "not lowerable: ";
-    if (why.compare(0, prefix.size(), prefix) == 0) why.erase(0, prefix.size());
-    std::fprintf(stderr,
-                 "note: plan is not lowerable (%s); falling back to table "
-                 "engine\n",
-                 why.c_str());
-  }
 }
 
 // Input setup shared by single- and multi-query runs: named files (XML or
@@ -614,12 +590,12 @@ int main(int argc, char** argv) {
       flags.pretok_cache = argv[++i];
     } else if (a == "--engine" && i + 1 < argc) {
       if (!ParseEngine(argv[++i], &flags)) {
-        std::fprintf(stderr, "error: --engine expects 'table' or 'ops'\n");
+        std::fprintf(stderr, "error: --engine expects 'table'\n");
         return 2;
       }
     } else if (a.rfind("--engine=", 0) == 0) {
       if (!ParseEngine(a.substr(std::strlen("--engine=")), &flags)) {
-        std::fprintf(stderr, "error: --engine expects 'table' or 'ops'\n");
+        std::fprintf(stderr, "error: --engine expects 'table'\n");
         return 2;
       }
     } else if (a == "--threads" && i + 1 < argc) {
@@ -724,7 +700,6 @@ int main(int argc, char** argv) {
       std::printf("%s", plan.value()->unoptimized_mft().ToString().c_str());
       return 0;
     }
-    NoteEngineFallback(flags, plan.value()->mft());
     return StreamWith(*plan.value(),
                       std::vector<std::string>(args.begin() + 1, args.end()),
                       flags);
@@ -743,7 +718,6 @@ int main(int argc, char** argv) {
     Result<std::shared_ptr<const CompiledPlan>> plan =
         CompiledPlan::FromMft(std::move(mft).value(), po);
     if (!plan.ok()) return Fail(plan.status());
-    NoteEngineFallback(flags, plan.value()->mft());
     return StreamWith(*plan.value(),
                       std::vector<std::string>(args.begin() + 1, args.end()),
                       flags);
