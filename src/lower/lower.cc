@@ -22,7 +22,7 @@ constexpr std::size_t kMaxCodeSize = std::size_t{1} << 20;
 enum class StateClass : unsigned char {
   kPlain,        ///< parameter-free, compiles to opcode programs
   kTextMatcher,  ///< parameter-free but matches on text content: no programs
-  kParams,       ///< carries parameters: reachable only through a kBridge
+  kParams,       ///< carries parameters: a selector program or a kBridge
 };
 
 // Compilation context of a program: which input the state is being applied
@@ -54,9 +54,10 @@ class Compiler {
     plan_.width = width_;
     plan_.initial = q0;
     plan_.states.resize(static_cast<std::size_t>(mft_.num_states()));
+    sel_compiled_.assign(static_cast<std::size_t>(mft_.num_states()), false);
     for (StateId q = 0; q < mft_.num_states(); ++q) {
-      // Parameter states and text-content matchers have no programs: they
-      // only ever run inside a table-machine bridge.
+      // Parameter states compile below (selectors) or run inside a
+      // table-machine bridge; text-content matchers have no programs.
       if (class_[static_cast<std::size_t>(q)] != StateClass::kPlain) continue;
       LoweredState& st = plan_.states[static_cast<std::size_t>(q)];
       st.element.resize(width_);
@@ -74,6 +75,12 @@ class Compiler {
       p = CompileProgram(q, CtxEps());
       if (p < 0) return Fail(error_);
       st.eps = finished_[static_cast<std::size_t>(p)];
+    }
+    // Selector states get programs once some select can spawn them.
+    while (!sel_worklist_.empty()) {
+      const StateId q = sel_worklist_.back();
+      sel_worklist_.pop_back();
+      if (!CompileSelectorState(q)) return Fail(error_);
     }
 
     if (!sites_.empty()) {
@@ -475,10 +482,8 @@ class Compiler {
     return false;
   }
 
-  // A parameter-carrying call. Tries, in order:
-  //   1. common-suffix factoring against a selector cluster, bridging the
-  //      residual arguments and emitting the suffix as caller code;
-  //   2. a direct table bridge over the anchor subtree.
+  // A parameter-carrying call: a select when the callee is a selector
+  // cluster, else a direct table bridge over the anchor subtree.
   bool EmitParamCall(const RhsNode& item, std::uint32_t ctx,
                      std::vector<LoweredInsn>* out) {
     const StateId callee = item.state;
@@ -494,11 +499,10 @@ class Compiler {
       return false;
     }
 
-    // 1) Common-suffix factoring against a selector cluster: with
-    //    arguments A_i = A'_i · C the cluster's output is A'_w · C for the
-    //    winner w the input selects, so bridging the residuals A'_i and
-    //    emitting C as ordinary caller code is exact.
     if (sel_[static_cast<std::size_t>(callee)]) {
+      // The cluster's output is one argument, unchanged: with arguments
+      // A_i = A'_i · C it is A'_w · C for the winner w, so only the
+      // residuals A'_i are alternatives and C runs once after the select.
       std::size_t min_len = item.args[0].size();
       for (const Rhs& arg : item.args) min_len = std::min(min_len, arg.size());
       std::size_t suffix = 0;
@@ -527,35 +531,10 @@ class Compiler {
         // the shared forest — drop the call entirely.
         return EmitRhs(item.args[0], ctx, out);
       }
-      if (item.input == InputVar::kX0 &&
-          !escapes_[static_cast<std::size_t>(callee)]) {
-        std::vector<Rhs> residuals;
-        residuals.reserve(item.args.size());
-        bool ok = true;
-        for (const Rhs& arg : item.args) {
-          Rhs res(arg.begin(), arg.end() - static_cast<std::ptrdiff_t>(suffix));
-          if (!ArgBridgeable(res)) {
-            ok = false;
-            break;
-          }
-          residuals.push_back(std::move(res));
-        }
-        if (ok) {
-          if (!EmitBridge(
-                  RhsNode::Call(callee, InputVar::kX0, std::move(residuals)),
-                  ctx, out)) {
-            return false;
-          }
-          const Rhs& a0 = item.args[0];
-          Rhs c(a0.end() - static_cast<std::ptrdiff_t>(suffix), a0.end());
-          return EmitRhs(c, ctx, out);
-        }
-        // error_ set by ArgBridgeable; keep the more specific message.
-        return false;
-      }
+      return EmitSelect(item, suffix, ctx, out);
     }
 
-    // 2) Direct bridge: x0, non-escaping callee, anchor-local arguments.
+    // Direct bridge: x0, non-escaping callee, anchor-local arguments.
     if (item.input == InputVar::kX0) {
       if (escapes_[static_cast<std::size_t>(callee)]) {
         error_ = "bridged state '" + mft_.state_name(callee) +
@@ -608,6 +587,317 @@ class Compiler {
     return true;
   }
 
+  // ------------------------------------------------------ selector clusters
+
+  // The compile-time value of a selector rule: a parameter of the record the
+  // program runs with, or a spawn of a cluster state over x1/x2 whose
+  // arguments are values again.
+  struct SelExpr {
+    int param = -1;  ///< >= 0: 0-based parameter index
+    StateId state = -1;
+    bool x2 = false;
+    std::vector<SelExpr> args;
+    std::size_t size = 1;  ///< nodes in this tree
+  };
+
+  // Charges `n` reduction nodes against the size cap. Every node a
+  // reduction creates or copies is charged, so a cluster whose rules pass a
+  // parameter twice ends as "not lowerable" rather than doubling its trees
+  // until memory runs out.
+  bool ChargeSel(std::size_t n) {
+    sel_nodes_ += n;
+    if (sel_nodes_ <= kMaxCodeSize) return true;
+    error_ = "lowered program exceeds the size limit";
+    return false;
+  }
+
+  // The text node a reduction runs at: `content` when the program is being
+  // specialized for one content, null for the generic text program. Every
+  // literal a consulted state tests lands in *keys.
+  struct TextProbe {
+    const std::string* content = nullptr;
+    std::set<std::string>* keys = nullptr;
+  };
+
+  const Rhs* SelRule(StateId q, std::uint32_t ctx, const TextProbe& probe) {
+    if (ctx < width_) {
+      const Rhs* rhs = dispatch_.ForElement(q, ctx);
+      return rhs != nullptr ? rhs : dispatch_.ForElement(q, width_);
+    }
+    if (ctx == CtxDefault()) return dispatch_.ForElement(q, width_);
+    if (ctx == CtxEps()) return dispatch_.Epsilon(q);
+    const StateRules& r = mft_.rules(q);
+    if (probe.keys != nullptr) {
+      for (const auto& [symbol, rhs] : r.symbol_rules) {
+        (void)rhs;
+        if (symbol.kind == NodeKind::kText) probe.keys->insert(symbol.name);
+      }
+    }
+    if (probe.content != nullptr) {
+      return mft_.LookupRule(q, NodeKind::kText, *probe.content);
+    }
+    if (r.text_rule) return &*r.text_rule;
+    return r.default_rule ? &*r.default_rule : nullptr;
+  }
+
+  // Reduces a call of cluster state q over `in` with argument values `args`
+  // at context ctx: x0 calls inline the callee's rule, x1 over a text node
+  // is the callee's epsilon rule, anything else is a spawn. `depth` counts
+  // inlined x0 calls; more than the states can chain without repeating is
+  // a cycle.
+  bool ReduceCall(StateId q, InputVar in, std::vector<SelExpr> args,
+                  std::uint32_t ctx, const TextProbe& probe, int depth,
+                  SelExpr* out) {
+    if (depth > 2 * mft_.num_states() + 2) {
+      error_ = "x0-call cycle through state '" + mft_.state_name(q) + "'";
+      return false;
+    }
+    if (!ChargeSel(1)) return false;
+    const Rhs* rhs = nullptr;
+    std::uint32_t at = ctx;
+    TextProbe p = probe;
+    if (in == InputVar::kX0) {
+      rhs = SelRule(q, ctx, probe);
+    } else if (ctx == CtxEps()) {
+      error_ = in == InputVar::kX1 ? "x1 in an epsilon rule"
+                                   : "x2 in an epsilon rule";
+      return false;
+    } else if (in == InputVar::kX1 && ctx == CtxText()) {
+      // A text node's child forest is empty.
+      rhs = dispatch_.Epsilon(q);
+      at = CtxEps();
+      p = TextProbe{};
+    } else {
+      out->param = -1;
+      out->state = q;
+      out->x2 = in == InputVar::kX2;
+      out->args = std::move(args);
+      out->size = 1;
+      for (const SelExpr& a : out->args) out->size += a.size;
+      return true;
+    }
+    if (rhs == nullptr) {
+      error_ = "state '" + mft_.state_name(q) + "' has no applicable rule";
+      return false;
+    }
+    return ReduceNode((*rhs)[0], at, p, args, depth + 1, out);
+  }
+
+  // Reduces one selector rule node (SelectorShape: a bare parameter or a
+  // cluster call) under `env`, the values of the enclosing rule's
+  // parameters.
+  bool ReduceNode(const RhsNode& node, std::uint32_t ctx,
+                  const TextProbe& probe, const std::vector<SelExpr>& env,
+                  int depth, SelExpr* out) {
+    if (node.kind == RhsKind::kParam) {
+      const SelExpr& value = env[static_cast<std::size_t>(node.param - 1)];
+      if (!ChargeSel(value.size)) return false;
+      *out = value;
+      return true;
+    }
+    std::vector<SelExpr> args(node.args.size());
+    for (std::size_t i = 0; i < node.args.size(); ++i) {
+      if (!ReduceNode(node.args[i][0], ctx, probe, env, depth, &args[i])) {
+        return false;
+      }
+    }
+    return ReduceCall(node.state, node.input, std::move(args), ctx, probe,
+                      depth, out);
+  }
+
+  // Emits the selector program for value `e`: nested spawns first (each
+  // creating the pending result its kSelArg operands refer to), then the
+  // tail — a pick, or the spawn that inherits the consumer's result. With a
+  // record of `arity` parameters (a selector state's program) a tail spawn
+  // that passes them through unchanged retargets the consumer instead.
+  void EmitSel(const SelExpr& e, bool has_record, int arity,
+               std::vector<LoweredInsn>* out) {
+    if (e.param >= 0) {
+      out->push_back({LowerOp::kPick, static_cast<std::uint32_t>(e.param)});
+      return;
+    }
+    std::uint32_t nested = 0;
+    std::vector<std::uint32_t> codes;
+    for (const SelExpr& a : e.args) codes.push_back(EmitSelArg(a, &nested, out));
+    RequireSelector(e.state);
+    bool identity = has_record && static_cast<int>(e.args.size()) == arity;
+    for (std::size_t j = 0; identity && j < e.args.size(); ++j) {
+      identity = e.args[j].param == static_cast<int>(j);
+    }
+    if (identity) {
+      out->push_back({e.x2 ? LowerOp::kSib : LowerOp::kChild,
+                      static_cast<std::uint32_t>(e.state)});
+      return;
+    }
+    EmitSelCall(e, kSelCallTail, codes, out);
+  }
+
+  std::uint32_t EmitSelArg(const SelExpr& a, std::uint32_t* nested,
+                           std::vector<LoweredInsn>* out) {
+    if (a.param >= 0) return static_cast<std::uint32_t>(a.param);
+    std::vector<std::uint32_t> codes;
+    for (const SelExpr& b : a.args) codes.push_back(EmitSelArg(b, nested, out));
+    RequireSelector(a.state);
+    EmitSelCall(a, 0, codes, out);
+    return kSelArgNested | (*nested)++;
+  }
+
+  static void EmitSelCall(const SelExpr& e, std::uint32_t flags,
+                          const std::vector<std::uint32_t>& codes,
+                          std::vector<LoweredInsn>* out) {
+    out->push_back({LowerOp::kSelCall,
+                    (static_cast<std::uint32_t>(e.state)
+                     << kSelCallStateShift) |
+                        flags | (e.x2 ? kSelCallX2 : 0u)});
+    for (std::uint32_t c : codes) out->push_back({LowerOp::kSelArg, c});
+  }
+
+  void RequireSelector(StateId q) {
+    if (sel_compiled_[static_cast<std::size_t>(q)]) return;
+    sel_compiled_[static_cast<std::size_t>(q)] = true;
+    sel_worklist_.push_back(q);
+  }
+
+  // Compiles the selector program of rule `rhs` at ctx, its parameters
+  // bound to `env`; returns the finished_ index or -1.
+  int CompileSel(const Rhs* rhs, std::uint32_t ctx, const TextProbe& probe,
+                 const std::vector<SelExpr>& env, bool has_record,
+                 StateId q) {
+    if (rhs == nullptr) {
+      error_ = "state '" + mft_.state_name(q) + "' has no applicable rule";
+      return -1;
+    }
+    SelExpr e;
+    if (!ReduceNode((*rhs)[0], ctx, probe, env, 0, &e)) return -1;
+    std::vector<LoweredInsn> tmp;
+    EmitSel(e, has_record, static_cast<int>(env.size()), &tmp);
+    return Intern(std::move(tmp));
+  }
+
+  // The generic text program plus one program per text literal the
+  // reduction consulted whose program differs (`compile` builds one for a
+  // probe). False on failure.
+  template <typename CompileFn>
+  bool CompileTextPrograms(CompileFn compile, int* generic,
+                           ContentTable* table) {
+    std::set<std::string> keys;
+    *generic = compile(TextProbe{nullptr, &keys});
+    if (*generic < 0) return false;
+    std::set<std::string> done;
+    for (bool grew = true; grew;) {
+      grew = false;
+      const std::set<std::string> pending = keys;
+      for (const std::string& key : pending) {
+        if (!done.insert(key).second) continue;
+        grew = true;
+        const int p = compile(TextProbe{&key, &keys});
+        if (p < 0) return false;
+        if (p != *generic) {
+          table->emplace_back(key, finished_[static_cast<std::size_t>(p)]);
+        }
+      }
+    }
+    return true;
+  }
+
+  bool CompileSelectorState(StateId q) {
+    const int k = mft_.num_params(q);
+    std::vector<SelExpr> env(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) env[static_cast<std::size_t>(i)].param = i;
+    auto at = [&](std::uint32_t ctx, const TextProbe& probe) {
+      return CompileSel(SelRule(q, ctx, probe), ctx, probe, env, true, q);
+    };
+    LoweredState st;
+    int p = at(CtxDefault(), TextProbe{});
+    if (p < 0) return false;
+    st.element_default = finished_[static_cast<std::size_t>(p)];
+    st.element.assign(width_, st.element_default);
+    for (SymbolId id = 0; id < width_; ++id) {
+      // Text-kind ids alias the generic-element program (see CompileProgram).
+      if (dispatch_.ForElement(q, id) == nullptr) continue;
+      p = at(id, TextProbe{});
+      if (p < 0) return false;
+      st.element[id] = finished_[static_cast<std::size_t>(p)];
+    }
+    p = at(CtxEps(), TextProbe{});
+    if (p < 0) return false;
+    st.eps = finished_[static_cast<std::size_t>(p)];
+    if (!CompileTextPrograms(
+            [&](const TextProbe& probe) { return at(CtxText(), probe); }, &p,
+            &st.text_content)) {
+      return false;
+    }
+    st.text = finished_[static_cast<std::size_t>(p)];
+    st.text.content_switch = !st.text_content.empty();
+    for (LoweredProgramRef& r : st.element) r.selector = true;
+    st.element_default.selector = true;
+    st.text.selector = true;
+    st.eps.selector = true;
+    for (auto& entry : st.text_content) entry.second.selector = true;
+    plan_.states[static_cast<std::size_t>(q)] = std::move(st);
+    return true;
+  }
+
+  // A call to selector cluster `item.state` whose arguments share a
+  // `suffix`-node common suffix: kSelBegin, each residual alternative as
+  // ordinary code, kSelEnd, then the suffix. When the anchor alone decides
+  // (text and end-of-forest anchors, rules that pick at once) the winning
+  // argument is emitted as plain code instead.
+  bool EmitSelect(const RhsNode& item, std::size_t suffix, std::uint32_t ctx,
+                  std::vector<LoweredInsn>* out) {
+    const std::size_t n = item.args.size();
+    std::vector<SelExpr> alts(n);
+    for (std::size_t i = 0; i < n; ++i) alts[i].param = static_cast<int>(i);
+    auto reduce = [&](const TextProbe& probe, SelExpr* e) {
+      return ReduceCall(item.state, item.input, alts, ctx, probe, 0, e);
+    };
+
+    LoweredSelect ls;
+    ls.n_alts = static_cast<std::uint32_t>(n);
+    auto compile = [&](const TextProbe& probe) -> int {
+      SelExpr e;
+      if (!reduce(probe, &e)) return -1;
+      std::vector<LoweredInsn> tmp;
+      EmitSel(e, /*has_record=*/false, 0, &tmp);
+      return Intern(std::move(tmp));
+    };
+    int p;
+    if (ctx == CtxText()) {
+      if (!CompileTextPrograms(compile, &p, &ls.content)) return false;
+    } else {
+      p = compile(TextProbe{});
+      if (p < 0) return false;
+    }
+    ls.cluster = finished_[static_cast<std::size_t>(p)];
+    if (ls.content.empty() && ls.cluster.len == 1 &&
+        plan_.code[ls.cluster.off].op == LowerOp::kPick) {
+      // The anchor alone decides: the winning argument is plain code.
+      return EmitRhs(item.args[plan_.code[ls.cluster.off].arg], ctx, out);
+    }
+    ls.n_child = ls.cluster.n_child;
+    ls.n_sib = ls.cluster.n_sib;
+    for (const auto& [content, ref] : ls.content) {
+      (void)content;
+      ls.n_child = std::max(ls.n_child, ref.n_child);
+      ls.n_sib = std::max(ls.n_sib, ref.n_sib);
+    }
+    const auto idx = static_cast<std::uint32_t>(plan_.selects.size());
+    plan_.selects.push_back(std::move(ls));
+
+    out->push_back({LowerOp::kSelBegin, idx});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) out->push_back({LowerOp::kSelAlt, idx});
+      const Rhs& arg = item.args[i];
+      Rhs residual(arg.begin(),
+                   arg.end() - static_cast<std::ptrdiff_t>(suffix));
+      if (!EmitRhs(residual, ctx, out)) return false;
+    }
+    out->push_back({LowerOp::kSelEnd, idx});
+    const Rhs& a0 = item.args[0];
+    Rhs c(a0.end() - static_cast<std::ptrdiff_t>(suffix), a0.end());
+    return EmitRhs(c, ctx, out);
+  }
+
   void BuildBridgeMft() {
     auto bm = std::make_unique<Mft>(mft_);
     for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -657,8 +947,23 @@ class Compiler {
     ref.off = static_cast<std::uint32_t>(plan_.code.size());
     ref.len = static_cast<std::uint32_t>(tmp.size());
     for (const LoweredInsn& insn : tmp) {
-      if (insn.op == LowerOp::kChild) ++ref.n_child;
-      if (insn.op == LowerOp::kSib) ++ref.n_sib;
+      switch (insn.op) {
+        case LowerOp::kChild:
+          ++ref.n_child;
+          break;
+        case LowerOp::kSib:
+          ++ref.n_sib;
+          break;
+        case LowerOp::kSelCall:
+          ++((insn.arg & kSelCallX2) != 0 ? ref.n_sib : ref.n_child);
+          break;
+        case LowerOp::kSelEnd:
+          ref.n_child += plan_.selects[insn.arg].n_child;
+          ref.n_sib += plan_.selects[insn.arg].n_sib;
+          break;
+        default:
+          break;
+      }
     }
     if (!tmp.empty()) {
       const LowerOp last = tmp.back().op;
@@ -680,13 +985,16 @@ class Compiler {
   const SymbolId width_;
   LoweredPlan plan_;
   std::vector<StateClass> class_;
-  std::vector<bool> sel_;      // selector-cluster shape (factoring license)
+  std::vector<bool> sel_;      // selector-cluster shape (compiles to selects)
   std::vector<bool> escapes_;  // x0-closure can read following siblings
   std::vector<RhsNode> sites_;        // bridge call sites, deduplicated
   std::set<StateId> site_states_;     // bridged callee states (for the note)
   std::vector<std::int32_t> memo_;  // (state, ctx) -> finished_ index
   std::vector<LoweredProgramRef> finished_;
   std::map<std::vector<std::uint64_t>, int> dedupe_;
+  std::vector<bool> sel_compiled_;     // selector state queued or compiled
+  std::vector<StateId> sel_worklist_;  // selector states awaiting programs
+  std::size_t sel_nodes_ = 0;          // reduction size, against the cap
   std::string error_;
 };
 

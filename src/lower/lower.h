@@ -21,27 +21,41 @@
 // memoized per (state, context); an x0 cycle (which the lazy engine would
 // grind through its step budget) makes the plan unlowerable instead.
 //
-// Parameter-carrying states never run on the opcode core. The Section 4.1
-// optimizations leave parameters in translated plans only in predicate
-// selector clusters, and those reach the core through table bridges:
+// Parameter-carrying states run on the opcode core only as *selector*
+// clusters — the shape the Section 4.1 optimizations leave predicates in:
+// every rule is a bare parameter y_i or a single call into the cluster whose
+// arguments are bare parameters or nested cluster calls, and the epsilon
+// rule selects a parameter. Such a cluster's output is exactly one of the
+// original call's arguments, unchanged, so a call to it is a *select*
+// between those arguments:
 //
-//   * An x0 call to a parameter-carrying state whose arguments are free of
-//     x2 lowers to kBridge — a sub-run of the lazy table machine over
-//     exactly the anchor subtree, spliced into the output at the call
-//     position. The caller keeps running on the opcode core; the plan is
-//     *hybrid*.
-//   * Call sites whose arguments share a common suffix (the translation's
-//     `q(x0, A·C, B·C)` shape, where the suffix is the sibling-scan
-//     continuation) are factored first: when the callee is a pure
-//     *selector* cluster — every rule passes parameters through verbatim
-//     and terminates in exactly one of them — the call is equivalent to
-//     bridging the residual arguments and emitting the suffix as ordinary
-//     caller code, which makes the residuals x2-free and keeps the scan on
-//     the opcode engine. This is what takes the q01/q04-style predicate
-//     queries off the pure table path.
+//   * Call sites factor the arguments' common suffix first (the
+//     translation's `q(x0, A·C, B·C)` shape, where C is the sibling-scan
+//     continuation): C runs once as ordinary caller code after the select.
+//   * The select (kSelBegin, kSelAlt, kSelEnd) runs every residual
+//     alternative (A, B) as ordinary opcode code into its own held region
+//     of the output at the call position, then starts the cluster. The first
+//     resolution keeps the winning region in place and discards the others;
+//     the losing alternatives' consumers stop at their next event.
+//   * Selector programs (kSelCall, kSelArg, kPick) run in *selector
+//     consumers*, which carry a choice record instead of an output segment:
+//     one value per local parameter, each either a caller alternative or
+//     the pending result of a nested cluster call. A bare-parameter rule
+//     compiles to kPick i; a rule that calls into the cluster spawns the
+//     callee (and its nested calls, each with a fresh pending result) over
+//     x1 or x2. x0 calls inline at compile time by substituting arguments;
+//     rules on text content dispatch through a per-state content table; and
+//     at text and end-of-forest anchors a select whose outcome is already
+//     determined folds to its winning alternative.
 //
-// Any other parameter-carrying call (over x1 or x2), and any call to a
-// plain state that matches on text content, makes the plan unlowerable.
+// The one remaining hybrid shape is a call to a non-selector parameter
+// state (a copying parameter, as in the Section 2.1 query): an x0 call
+// whose arguments are free of x2 lowers to kBridge — a sub-run of the lazy
+// table machine over exactly the anchor subtree, spliced into the output at
+// the call position. The caller keeps running on the opcode core; the plan
+// is *hybrid*. Any other parameter-carrying call (over x1 or x2), and any
+// call to a plain state that matches on text content, makes the plan
+// unlowerable.
 //
 // A plan is lowerable iff every reachable call site lands in one of those
 // classes, x0-call inlining terminates, and the generated code stays under
@@ -55,6 +69,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mft/mft.h"
@@ -74,12 +90,30 @@ enum class LowerOp : unsigned char {
   kTextCur,      ///< Text(current text event's content)
   kChild,        ///< spawn a consumer in state arg over the node's children
   kSib,          ///< continue in state arg over the node's following siblings
+  // A select at a selector-cluster call site (arg = LoweredPlan::selects
+  // index): kSelBegin [alt 0] kSelAlt [alt 1] ... kSelEnd [continuation].
+  kSelBegin,     ///< open the held region, write alternative 0
+  kSelAlt,       ///< close the current alternative, write the next one
+  kSelEnd,       ///< close the last alternative and start the cluster
+  // Selector programs (run by selector consumers; kChild/kSib there retarget
+  // the consumer with its choice record unchanged).
+  kSelCall,      ///< arg = callee << 2 | tail << 1 | over-x2; spawn a selector
+                 ///< consumer, one kSelArg per callee parameter follows
+  kSelArg,       ///< kSelCall operand: parameter index, or kSelArgNested | n
+                 ///< for the pending result of this program's n-th nested call
+  kPick,         ///< resolve the consumer's result to parameter arg
   // Hybrid execution: a table-machine sub-run over the anchor subtree.
   kBridge,       ///< arg = (BridgeCtx << kBridgeCtxShift) | site index
 };
 
 /// Number of LowerOp values.
 inline constexpr int kNumLowerOps = static_cast<int>(LowerOp::kBridge) + 1;
+
+/// kSelCall argument layout and the kSelArg nested-result tag.
+inline constexpr std::uint32_t kSelCallX2 = 1u;
+inline constexpr std::uint32_t kSelCallTail = 2u;
+inline constexpr std::uint32_t kSelCallStateShift = 2;
+inline constexpr std::uint32_t kSelArgNested = 1u << 31;
 
 /// The input context a kBridge site anchors to, packed into the high bits
 /// of the instruction argument (the low bits are the site index).
@@ -110,7 +144,26 @@ struct LoweredProgramRef {
   /// The program is exactly [kSib q]: the consumer just retargets to q and
   /// skips the subtree — no allocation, no segment work.
   bool simple_sib = false;
+  /// A selector program: the consumer carries a choice record, not a
+  /// segment (set on the copies held by selector states).
+  bool selector = false;
+  /// A text program whose state tests text literals: the event's content
+  /// picks the program through LoweredState::text_content first.
+  bool content_switch = false;
 };
+
+/// Programs keyed on a text node's content (rules such as q("person0"(x1)x2,
+/// ...)); contents not listed take the generic text program.
+using ContentTable = std::vector<std::pair<std::string, LoweredProgramRef>>;
+
+/// Looks `content` up in `table`; null when no entry matches.
+inline const LoweredProgramRef* FindContent(const ContentTable& table,
+                                            std::string_view content) {
+  for (const auto& [key, ref] : table) {
+    if (key == content) return &ref;
+  }
+  return nullptr;
+}
 
 /// \brief All programs of one state, indexed the same way RuleDispatch
 /// resolves rules: dense per-symbol for ids below the alphabet width,
@@ -120,6 +173,19 @@ struct LoweredState {
   LoweredProgramRef element_default;       ///< element ids >= width
   LoweredProgramRef text;                  ///< any text node
   LoweredProgramRef eps;                   ///< end of the consumed forest
+  ContentTable text_content;  ///< selector states that test text literals
+};
+
+/// \brief One select: the cluster program that starts at the call site. Its
+/// parameters are the alternatives (kPick i selects alternative i).
+struct LoweredSelect {
+  std::uint32_t n_alts = 0;
+  LoweredProgramRef cluster;
+  ContentTable content;  ///< text anchors whose outcome depends on content
+  /// Most consumers the cluster spawns over children / siblings (counted
+  /// into the calling program's n_child / n_sib).
+  std::uint32_t n_child = 0;
+  std::uint32_t n_sib = 0;
 };
 
 /// \brief The lowered form of a transducer. Immutable once built; shared by
@@ -134,6 +200,7 @@ struct LoweredPlan {
   std::vector<LoweredState> states;  ///< by StateId
   SymbolId width = 0;                ///< dense-table width (= dispatch width)
   StateId initial = 0;
+  std::vector<LoweredSelect> selects;  ///< by kSelBegin/kSelEnd argument
 
   /// Hybrid support: a clone of the source transducer extended with one
   /// synthetic root state per bridge site (rules `root -> callee(x0, ...)`

@@ -105,6 +105,29 @@ void OpsEngine::SegmentPool::FreeHeader(Segment* s) {
   free_headers_ = s;
 }
 
+void* OpsEngine::SegmentPool::NewObject(std::size_t bytes) {
+  const std::size_t k = bytes / 8;
+  void* p = nullptr;
+  if (k < free_objects_.size() && free_objects_[k] != nullptr) {
+    p = free_objects_[k];
+    free_objects_[k] = *static_cast<void**>(p);
+  } else {
+    p = Carve(bytes);
+  }
+  tracker_->Charge(bytes);
+  charged_ += bytes;
+  return p;
+}
+
+void OpsEngine::SegmentPool::FreeObject(void* p, std::size_t bytes) {
+  const std::size_t k = bytes / 8;
+  if (k >= free_objects_.size()) free_objects_.resize(k + 1, nullptr);
+  *static_cast<void**>(p) = free_objects_[k];
+  free_objects_[k] = p;
+  tracker_->Release(bytes);
+  charged_ -= bytes;
+}
+
 unsigned OpsEngine::SegmentPool::ClassOf(const Chunk* c) {
   return static_cast<unsigned>(
              __builtin_ctzll(std::uint64_t{c->cap} + sizeof(Chunk))) -
@@ -161,6 +184,7 @@ OpsEngine::Segment* OpsEngine::NewSegment() {
 }
 
 void OpsEngine::RecycleSegment(Segment* s) {
+  if (s->dead()) --dead_segments_;
   pool_.FreeChain(&s->chain);
   s->prev_bits = 0;  // reads as open: Coalesce skips stale closed_ entries
   pool_.FreeHeader(s);
@@ -353,6 +377,7 @@ void OpsEngine::FlushHead() {
       RecycleSegment(s);
       continue;
     }
+    if (s->fence()) return;  // an undecided select holds the rest
     if (s != live_) {
       // The head is still being written: drain what it buffered and switch
       // it to write-through until its writer splits or closes it.
@@ -375,17 +400,22 @@ Status OpsEngine::ChargeSteps(std::uint64_t n) {
 
 // ----------------------------------------------------------------- bridges
 
+// A bridge inside a select's losing region keeps running to its anchor's
+// close, writing into nothing.
 void OpsEngine::SegSink::StartElement(std::string_view name) {
+  if (seg_->dead()) return;
   engine_->EmitStart(seg_,
                      engine_->symbols_->Intern(NodeKind::kElement, name));
 }
 
 void OpsEngine::SegSink::EndElement(std::string_view name) {
+  if (seg_->dead()) return;
   engine_->EmitEnd(seg_,
                    engine_->symbols_->Intern(NodeKind::kElement, name));
 }
 
 void OpsEngine::SegSink::Text(std::string_view content) {
+  if (seg_->dead()) return;
   engine_->EmitTextBytes(seg_, content);
 }
 
@@ -485,24 +515,38 @@ void OpsEngine::ExecProgram(const LoweredProgramRef& ref, Segment* cur,
       case LowerOp::kChild: {
         if (pc == end) {
           // Tail spawn: the child inherits the writer's segment outright.
-          child_out[(*child_n)++] = Consumer{insn.arg, cur};
+          child_out[(*child_n)++] = Consumer{insn.arg, {cur}};
           return;
         }
         Segment* child_seg = SplitAfter(cur);
-        child_out[(*child_n)++] = Consumer{insn.arg, child_seg};
+        child_out[(*child_n)++] = Consumer{insn.arg, {child_seg}};
         cur = InsertAfter(child_seg);
         break;
       }
       case LowerOp::kSib: {
         if (pc == end) {
-          sib_out[(*sib_n)++] = Consumer{insn.arg, cur};
+          sib_out[(*sib_n)++] = Consumer{insn.arg, {cur}};
           return;
         }
         Segment* sib_seg = SplitAfter(cur);
-        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg};
+        sib_out[(*sib_n)++] = Consumer{insn.arg, {sib_seg}};
         cur = InsertAfter(sib_seg);
         break;
       }
+      case LowerOp::kSelBegin:
+        cur = BeginSelect(insn.arg, cur);
+        break;
+      case LowerOp::kSelAlt:
+        cur = NextAlternative(cur);
+        break;
+      case LowerOp::kSelEnd:
+        cur = EndSelect(insn.arg, cur, text, child_out, child_n, sib_out,
+                        sib_n);
+        break;
+      case LowerOp::kSelCall:
+      case LowerOp::kSelArg:
+      case LowerOp::kPick:
+        break;  // selector programs only (ExecSelector)
       case LowerOp::kBridge: {
         const std::uint32_t site = insn.arg & kBridgeSiteMask;
         const BridgeCtx bctx =
@@ -528,6 +572,268 @@ void OpsEngine::ExecProgram(const LoweredProgramRef& ref, Segment* cur,
   CloseSegment(cur);
 }
 
+OpsEngine::Segment* OpsEngine::BeginSelect(std::uint32_t idx, Segment* cur) {
+  Select* sel = NewSelect(plan_->selects[idx].n_alts);
+  // The caller's output so far ends at fence 0.
+  CloseSegment(cur);
+  Segment** fences = sel->fences();
+  fences[0] = InsertFence(cur, sel);
+  for (std::uint32_t i = 1; i <= sel->n_alts; ++i) {
+    fences[i] = InsertFence(fences[i - 1], sel);
+  }
+  open_selects_.push_back(OpenSelect{sel, 0});
+  return InsertAfter(fences[0]);
+}
+
+OpsEngine::Segment* OpsEngine::NextAlternative(Segment* cur) {
+  OpenSelect& top = open_selects_.back();
+  CloseSegment(cur);
+  return InsertAfter(top.sel->fences()[++top.alt]);
+}
+
+OpsEngine::Segment* OpsEngine::EndSelect(std::uint32_t idx, Segment* cur,
+                                         std::string_view text,
+                                         Consumer* child_out,
+                                         std::uint32_t* child_n,
+                                         Consumer* sib_out,
+                                         std::uint32_t* sib_n) {
+  Select* sel = open_selects_.back().sel;
+  open_selects_.pop_back();
+  CloseSegment(cur);
+  Segment* after = InsertAfter(sel->fences()[sel->n_alts]);
+  const LoweredSelect& ls = plan_->selects[idx];
+  const LoweredProgramRef* cluster = &ls.cluster;
+  if (!ls.content.empty()) {
+    if (const LoweredProgramRef* hit = FindContent(ls.content, text)) {
+      cluster = hit;
+    }
+  }
+  alt_values_.resize(ls.n_alts);
+  for (std::uint32_t i = 0; i < ls.n_alts; ++i) {
+    alt_values_[i] = AltValue(i);
+  }
+  // May decide at once (a content-keyed text anchor); `after` stays.
+  ExecSelector(*cluster, sel, &sel->root, alt_values_.data(), nullptr,
+               child_out, child_n, sib_out, sib_n);
+  return after;
+}
+
+void OpsEngine::ExecSelector(const LoweredProgramRef& ref, Select* sel,
+                             Slot* result, const Value* vals, ChoiceRec* rec,
+                             Consumer* child_out, std::uint32_t* child_n,
+                             Consumer* sib_out, std::uint32_t* sib_n) {
+  if (rec != nullptr && sel->decided) {
+    FreeRecord(rec);  // the select no longer needs this consumer
+    return;
+  }
+  const LoweredInsn* pc = plan_->code.data() + ref.off;
+  const LoweredInsn* const end = pc + ref.len;
+  nested_.clear();
+  while (pc != end) {
+    const LoweredInsn insn = *pc++;
+    switch (insn.op) {
+      case LowerOp::kPick:
+        Resolve(sel, result, vals[insn.arg]);
+        break;
+      case LowerOp::kChild:
+      case LowerOp::kSib: {
+        // Retarget: same record, same result, new state.
+        Consumer c;
+        c.state = insn.arg;
+        c.rec = rec;
+        if (insn.op == LowerOp::kChild) {
+          child_out[(*child_n)++] = c;
+        } else {
+          sib_out[(*sib_n)++] = c;
+        }
+        return;
+      }
+      case LowerOp::kSelCall: {
+        const LoweredInsn* args = pc;
+        while (pc != end && pc->op == LowerOp::kSelArg) ++pc;
+        ChoiceRec* r =
+            NewRecord(sel, static_cast<std::uint32_t>(pc - args));
+        Value* out = r->vals();
+        for (std::uint32_t j = 0; j < r->n; ++j) {
+          const std::uint32_t code = args[j].arg;
+          out[j] = (code & kSelArgNested) != 0
+                       ? reinterpret_cast<Value>(
+                             nested_[code & ~kSelArgNested])
+                       : vals[code];
+        }
+        if ((insn.arg & kSelCallTail) != 0) {
+          r->result = result;
+        } else {
+          r->result = NewSlot(sel);
+          nested_.push_back(r->result);
+        }
+        Consumer c;
+        c.state = insn.arg >> kSelCallStateShift;
+        c.rec = r;
+        if ((insn.arg & kSelCallX2) != 0) {
+          sib_out[(*sib_n)++] = c;
+        } else {
+          child_out[(*child_n)++] = c;
+        }
+        break;
+      }
+      default:
+        break;  // selector programs hold nothing else
+    }
+  }
+  if (rec != nullptr) FreeRecord(rec);
+}
+
+OpsEngine::Select* OpsEngine::NewSelect(std::uint32_t n_alts) {
+  auto* sel = static_cast<Select*>(pool_.NewObject(
+      sizeof(Select) + (std::size_t{n_alts} + 1) * sizeof(Segment*)));
+  sel->root = Slot{0, nullptr};
+  sel->front = &sel->root;
+  sel->slots = nullptr;
+  sel->refs = 0;
+  sel->n_alts = n_alts;
+  sel->decided = false;
+  return sel;
+}
+
+OpsEngine::ChoiceRec* OpsEngine::NewRecord(Select* sel, std::uint32_t n) {
+  auto* rec = static_cast<ChoiceRec*>(
+      pool_.NewObject(sizeof(ChoiceRec) + std::size_t{n} * sizeof(Value)));
+  rec->sel = sel;
+  rec->n = n;
+  ++sel->refs;
+  return rec;
+}
+
+void OpsEngine::FreeRecord(ChoiceRec* rec) {
+  Select* sel = rec->sel;
+  pool_.FreeObject(rec, sizeof(ChoiceRec) + std::size_t{rec->n} * sizeof(Value));
+  --sel->refs;
+  MaybeFreeSelect(sel);
+}
+
+OpsEngine::Slot* OpsEngine::NewSlot(Select* sel) {
+  auto* slot = static_cast<Slot*>(pool_.NewObject(sizeof(Slot)));
+  slot->value = 0;
+  slot->next = sel->slots;
+  sel->slots = slot;
+  return slot;
+}
+
+void OpsEngine::FreeSlots(Select* sel) {
+  while (sel->slots != nullptr) {
+    Slot* next = sel->slots->next;
+    pool_.FreeObject(sel->slots, sizeof(Slot));
+    sel->slots = next;
+  }
+}
+
+void OpsEngine::MaybeFreeSelect(Select* sel) {
+  if (!sel->decided || sel->refs != 0) return;
+  pool_.FreeObject(sel, sizeof(Select) + (std::size_t{sel->n_alts} + 1) *
+                                             sizeof(Segment*));
+}
+
+void OpsEngine::Resolve(Select* sel, Slot* slot, Value value) {
+  slot->value = value;
+  if (slot != sel->front) return;  // nothing waits on this result (yet)
+  for (;;) {
+    const Value v = sel->front->value;
+    if (v == 0) return;
+    if ((v & 1u) != 0) {
+      Decide(sel, static_cast<std::uint32_t>(v >> 1));
+      return;
+    }
+    // Resolved to another pending result: the select now waits on that.
+    sel->front = reinterpret_cast<Slot*>(v);
+  }
+}
+
+void OpsEngine::Decide(Select* sel, std::uint32_t winner) {
+  sel->decided = true;
+  FreeSlots(sel);
+  Segment** fences = sel->fences();
+  const std::uint32_t n = sel->n_alts;
+  Segment* before = fences[0]->prev();
+  Segment* after = fences[n]->next;
+  Segment* first = nullptr;
+  Segment* last = nullptr;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Segment* s = fences[i]->next;
+    if (i == winner) {
+      if (s != fences[i + 1]) {
+        first = s;
+        last = fences[i + 1]->prev();
+      }
+      continue;
+    }
+    while (s != fences[i + 1]) {
+      Segment* next = s->next;
+      Discard(s);
+      s = next;
+    }
+  }
+  for (std::uint32_t i = 0; i <= n; ++i) RecycleFence(fences[i]);
+  if (first == nullptr) {
+    first = after;
+    last = before;
+  } else {
+    last->next = after;
+    if (after != nullptr) after->set_prev(last);
+  }
+  if (before != nullptr) {
+    before->next = first;
+  } else {
+    head_ = first;
+  }
+  if (first != nullptr) first->set_prev(before);
+  // Closed segments that now touch merge at event end.
+  for (Segment* s : {before, last, after}) {
+    if (s != nullptr && s->closed()) closed_.push_back(s);
+  }
+  MaybeFreeSelect(sel);
+}
+
+void OpsEngine::Discard(Segment* s) {
+  if (s->fence()) {
+    if (s->owner != nullptr) Abandon(s->owner);
+    RecycleFence(s);
+  } else if (s->closed()) {
+    RecycleSegment(s);
+  } else {
+    // Its writer still holds it: detach, and let the writer recycle it.
+    pool_.FreeChain(&s->chain);
+    s->next = nullptr;
+    s->prev_bits = Segment::kDead;
+    ++dead_segments_;
+  }
+}
+
+void OpsEngine::Abandon(Select* sel) {
+  // All of its fences lie in the region being discarded; the walk recycles
+  // them, so they forget the select before it can be freed.
+  sel->decided = true;
+  FreeSlots(sel);
+  for (std::uint32_t i = 0; i <= sel->n_alts; ++i) {
+    sel->fences()[i]->owner = nullptr;
+  }
+  MaybeFreeSelect(sel);
+}
+
+OpsEngine::Segment* OpsEngine::InsertFence(Segment* prev, Select* owner) {
+  Segment* f = InsertAfter(prev);
+  f->owner = owner;
+  f->prev_bits |= Segment::kFence;
+  return f;
+}
+
+void OpsEngine::RecycleFence(Segment* s) {
+  s->chain = ChunkChain{};
+  s->prev_bits = 0;
+  pool_.FreeHeader(s);
+  --live_segments_;
+}
+
 Status OpsEngine::Prime() {
   if (!status_.ok()) return status_;
   if (started_) return Status::OK();
@@ -537,7 +843,8 @@ Status OpsEngine::Prime() {
   Scope scope;
   scope.mark = arena_.TakeMark();
   scope.items = AllocConsumers(1);
-  scope.items[0] = Consumer{static_cast<std::uint32_t>(plan_->initial), root};
+  scope.items[0] =
+      Consumer{static_cast<std::uint32_t>(plan_->initial), {root}};
   scope.count = 1;
   scope.cap = 1;
   scopes_.push_back(scope);
@@ -629,7 +936,7 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
     all_simple = all_simple && prog->simple_sib;
     total_child += prog->n_child;
     total_sib += prog->n_sib;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg});
+    scratch_.push_back(PendingExec{prog, c});
   }
 
   if (all_simple) {
@@ -662,8 +969,8 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
   std::uint32_t n_child = 0;
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
-    ExecProgram(*p.prog, p.seg, sym, std::string_view(), &event, children,
-                &n_child, sibs, &n_sib);
+    Exec(*p.prog, p.c, sym, std::string_view(), &event, children, &n_child,
+         sibs, &n_sib);
   }
 
   total_consumers_ += n_sib + n_child;
@@ -700,10 +1007,17 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   bool all_simple = true;
   for (std::uint32_t i = 0; i < top.count; ++i) {
     const Consumer& c = top.items[i];
-    const LoweredProgramRef* prog = &plan_->states[c.state].text;
+    const LoweredState& st = plan_->states[c.state];
+    const LoweredProgramRef* prog = &st.text;
+    if (prog->content_switch) {
+      if (const LoweredProgramRef* hit =
+              FindContent(st.text_content, event.text)) {
+        prog = hit;
+      }
+    }
     all_simple = all_simple && prog->simple_sib;
     total_sib += prog->n_sib;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg});
+    scratch_.push_back(PendingExec{prog, c});
   }
 
   if (all_simple) {
@@ -726,8 +1040,8 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
     std::uint32_t n_child = 0;
-    ExecProgram(*p.prog, p.seg, kInvalidSymbol, event.text, &event, nullptr,
-                &n_child, sibs, &n_sib);
+    Exec(*p.prog, p.c, kInvalidSymbol, event.text, &event, nullptr,
+         &n_child, sibs, &n_sib);
   }
 
   total_consumers_ += n_sib;
@@ -754,11 +1068,10 @@ Status OpsEngine::OnEndElement() {
     const Consumer& c = top.items[i];
     std::uint32_t n_child = 0;
     std::uint32_t n_sib = 0;
-    // Epsilon programs are emission-only (eps bridges included);
-    // ExecProgram closes the segment.
-    ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, nullptr, &n_child, nullptr,
-                &n_sib);
+    // Epsilon programs are emission-only (eps bridges included) or a
+    // selector's pick; ExecProgram closes the segment.
+    Exec(plan_->states[c.state].eps, c, kInvalidSymbol, std::string_view(),
+         nullptr, nullptr, &n_child, nullptr, &n_sib);
   }
   total_consumers_ -= top.count;
   scopes_.pop_back();
@@ -777,9 +1090,8 @@ Status OpsEngine::OnEndOfDocument() {
     const Consumer& c = top.items[i];
     std::uint32_t n_child = 0;
     std::uint32_t n_sib = 0;
-    ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, nullptr, &n_child, nullptr,
-                &n_sib);
+    Exec(plan_->states[c.state].eps, c, kInvalidSymbol, std::string_view(),
+         nullptr, nullptr, &n_child, nullptr, &n_sib);
   }
   total_consumers_ -= top.count;
   top.count = 0;

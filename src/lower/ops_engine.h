@@ -46,12 +46,31 @@
 //     segment chunk slots in use. Free-list and arena capacity kept for
 //     reuse is not counted. For a copying query the
 //     peak is the packed buffered output plus O(live consumers).
-//   * kBridge instructions execute *hybrid* plans: the site's anchor subtree
-//     is run through a table-machine sub-run (built by the BridgeFactory the
-//     engine was given) whose output lands in a dedicated segment at the
-//     call position. The ops core keeps scanning concurrently; the sub-run
-//     is fed every event of the anchor subtree and finished at the anchor's
-//     close.
+//   * A *select* (kSelBegin .. kSelEnd) runs a predicate's selector cluster
+//     on the core. Fence segments bound one held region per alternative at
+//     the call position; each alternative's code writes into its region
+//     like any other code, and nothing behind the first fence drains or goes
+//     live until the select is decided. The cluster runs as *selector
+//     consumers*: scope entries whose payload is a choice record (the
+//     select, the slot their result resolves, one value per parameter —
+//     an alternative or a nested call's pending slot) instead of a segment.
+//     A kPick resolves the consumer's slot; when the slot the select waits
+//     on resolves to an alternative, the select keeps that region in place,
+//     unlinks the others (recycling what is closed, marking what still has
+//     a writer dead) and removes its fences. Consumers writing a dead
+//     segment and selector consumers of a decided select stop at their next
+//     program. Selects, slots and choice records come from the segment
+//     pool's free lists and are charged to the tracker: records are
+//     recycled when their consumer resolves, retargets or stops, slots when
+//     the select is decided, the select once no record refers to it.
+//     (They cannot live in the scope arena: a select under a long sibling
+//     run is decided long before the enclosing forest closes.)
+//   * kBridge instructions execute *hybrid* plans (calls to non-selector
+//     parameter states): the site's anchor subtree is run through a
+//     table-machine sub-run (built by the BridgeFactory the engine was
+//     given) whose output lands in a dedicated segment at the call
+//     position. The ops core keeps scanning concurrently; the sub-run is fed
+//     every event of the anchor subtree and finished at the anchor's close.
 //
 // Same contract as the table machine behind Engine: done() may become true
 // before the input ends (drivers stop feeding), errors are sticky, Finish
@@ -129,8 +148,10 @@ class OpsEngine {
 
   // A chain of chunks, kept circular so one pointer serves both ends:
   // `tail` is the chunk appends go to and tail->next the first chunk.
+  // Trivial (no initializer) so a segment can overlay it with a fence's
+  // owner; build empty chains as ChunkChain{}.
   struct ChunkChain {
-    Chunk* tail = nullptr;
+    Chunk* tail;
 
     bool empty() const { return tail == nullptr; }
     // Links `c` (len 0 or filled) after the current tail.
@@ -156,25 +177,74 @@ class OpsEngine {
     }
   };
 
+  struct Select;
+
   // A single-writer span of the output stream, in a doubly linked chain
   // ordered by final output position. The header is 24 bytes: `prev_bits`
-  // holds the predecessor with the closed flag in bit 0 (headers are
+  // holds the predecessor with three flags in the low bits (headers are
   // 8-aligned). Closed segments have no writer and are merged with closed
-  // neighbours at event end (Coalesce).
+  // neighbours at event end (Coalesce). A fence bounds a select's held
+  // regions: never written, never closed, so nothing merges or drains past
+  // it. A dead segment was unlinked from the chain by a decided select
+  // while it still had a writer; the writer recycles it.
   struct Segment {
-    ChunkChain chain;  ///< buffered records; empty while the segment is live
+    static constexpr std::uintptr_t kClosed = 1;
+    static constexpr std::uintptr_t kFence = 2;
+    static constexpr std::uintptr_t kDead = 4;
+    static constexpr std::uintptr_t kFlags = 7;
+
+    union {
+      ChunkChain chain;  ///< buffered records; empty while the segment is live
+      Select* owner;     ///< fences: the undecided select, or null
+    };
     Segment* next;
     std::uintptr_t prev_bits;
 
     Segment* prev() const {
-      return reinterpret_cast<Segment*>(prev_bits & ~std::uintptr_t{1});
+      return reinterpret_cast<Segment*>(prev_bits & ~kFlags);
     }
     void set_prev(Segment* p) {
-      prev_bits = reinterpret_cast<std::uintptr_t>(p) | (prev_bits & 1u);
+      prev_bits = reinterpret_cast<std::uintptr_t>(p) | (prev_bits & kFlags);
     }
-    bool closed() const { return (prev_bits & 1u) != 0; }
+    bool closed() const { return (prev_bits & kClosed) != 0; }
+    bool fence() const { return (prev_bits & kFence) != 0; }
+    bool dead() const { return (prev_bits & kDead) != 0; }
   };
   static_assert(sizeof(Segment) == 24, "segment headers stay 24 bytes");
+
+  // A value in a choice record: odd = alternative (v >> 1) of the select,
+  // even = a Slot* still pending (or resolved since).
+  using Value = std::uintptr_t;
+  static Value AltValue(std::uint32_t alt) {
+    return (static_cast<Value>(alt) << 1) | 1u;
+  }
+
+  // The result of one nested cluster call: 0 while pending, else the value
+  // it resolved to.
+  struct Slot {
+    Value value;
+    Slot* next;  ///< the select's slot list, freed when it is decided
+  };
+
+  // One select: followed in memory by n_alts + 1 fence pointers (fence i
+  // opens alternative i's region; the last closes the final one).
+  struct Select {
+    Slot root;            ///< the cluster call's own result
+    Slot* front;          ///< the slot whose resolution decides the select
+    Slot* slots;          ///< nested results created so far
+    std::uint32_t refs;   ///< live choice records pointing here
+    std::uint32_t n_alts;
+    bool decided;
+    Segment** fences() { return reinterpret_cast<Segment**>(this + 1); }
+  };
+
+  // A selector consumer's payload: followed in memory by n parameter values.
+  struct ChoiceRec {
+    Select* sel;
+    Slot* result;  ///< the slot this consumer's pick resolves
+    std::uint32_t n;
+    Value* vals() { return reinterpret_cast<Value*>(this + 1); }
+  };
 
   // Free-list pool behind segment headers and segment chunks. Chunks come
   // in power-of-two slot classes (32 B << k, header included, so records up
@@ -190,6 +260,10 @@ class OpsEngine {
 
     Segment* NewHeader();
     void FreeHeader(Segment* s);
+    // Selects, slots and choice records: `bytes` (a multiple of 8) from a
+    // per-size free list.
+    void* NewObject(std::size_t bytes);
+    void FreeObject(void* p, std::size_t bytes);
     // A chunk in the smallest class that holds `min_cap` bytes, at least
     // class `min_class`.
     Chunk* NewChunk(std::uint32_t min_cap, unsigned min_class);
@@ -207,12 +281,16 @@ class OpsEngine {
     char* end_ = nullptr;
     Segment* free_headers_ = nullptr;
     Chunk* free_chunks_[kSlotClasses] = {};
+    std::vector<void*> free_objects_;  ///< by bytes / 8
     std::size_t charged_ = 0;
   };
 
   struct Consumer {
     std::uint32_t state;
-    Segment* seg;
+    union {
+      Segment* seg;    ///< ordinary consumers: where the output goes
+      ChoiceRec* rec;  ///< selector consumers (selector-state programs)
+    };
   };
   static_assert(sizeof(Consumer) == 16, "consumer records stay 16 bytes");
 
@@ -266,9 +344,8 @@ class OpsEngine {
   // Program resolution snapshot taken before execution: sibling rewrites may
   // reuse the scope's own array in place, so consumers are copied out first.
   struct PendingExec {
-    std::uint32_t state;
     const LoweredProgramRef* prog;
-    Segment* seg;
+    Consumer c;
   };
 
   // Adapts the OutputSink interface back onto a segment: a bridged table
@@ -321,6 +398,61 @@ class OpsEngine {
                    std::string_view text, const XmlEvent* event,
                    Consumer* child_out, std::uint32_t* child_n,
                    Consumer* sib_out, std::uint32_t* sib_n);
+  // Runs consumer `c`'s program `ref`: a selector program for a selector
+  // consumer, nothing (but recycling its segment) for a consumer whose
+  // region a select discarded, else ExecProgram. Defined here so every
+  // event's consumer loop inlines it.
+  void Exec(const LoweredProgramRef& ref, const Consumer& c, SymbolId sym,
+            std::string_view text, const XmlEvent* event,
+            Consumer* child_out, std::uint32_t* child_n, Consumer* sib_out,
+            std::uint32_t* sib_n) {
+    if (ref.selector) {
+      ChoiceRec* rec = c.rec;
+      ExecSelector(ref, rec->sel, rec->result, rec->vals(), rec, child_out,
+                   child_n, sib_out, sib_n);
+    } else if (dead_segments_ != 0 && c.seg->dead()) {
+      RecycleSegment(c.seg);  // a losing alternative's writer stops
+    } else {
+      ExecProgram(ref, c.seg, sym, text, event, child_out, child_n, sib_out,
+                  sib_n);
+    }
+  }
+  // Runs selector program `ref` for `sel` with parameter values `vals`; its
+  // tail resolves or hands on `result`. `rec` is the running consumer's
+  // record (null at a call site): kept by a retarget, recycled otherwise,
+  // and recycled unrun once the select is decided.
+  void ExecSelector(const LoweredProgramRef& ref, Select* sel, Slot* result,
+                    const Value* vals, ChoiceRec* rec, Consumer* child_out,
+                    std::uint32_t* child_n, Consumer* sib_out,
+                    std::uint32_t* sib_n);
+
+  // The select opcodes, out of ExecProgram's loop: each returns the segment
+  // the program writes next.
+  Segment* BeginSelect(std::uint32_t idx, Segment* cur);
+  Segment* NextAlternative(Segment* cur);
+  Segment* EndSelect(std::uint32_t idx, Segment* cur, std::string_view text,
+                     Consumer* child_out, std::uint32_t* child_n,
+                     Consumer* sib_out, std::uint32_t* sib_n);
+
+  // Select machinery.
+  Select* NewSelect(std::uint32_t n_alts);
+  ChoiceRec* NewRecord(Select* sel, std::uint32_t n);
+  void FreeRecord(ChoiceRec* rec);
+  Slot* NewSlot(Select* sel);
+  void FreeSlots(Select* sel);
+  void MaybeFreeSelect(Select* sel);
+  // `slot` resolved to `value`; decides the select when that settles the
+  // slot it waits on.
+  void Resolve(Select* sel, Slot* slot, Value value);
+  // Keeps alternative `winner`'s region, discards the others, drops the
+  // fences.
+  void Decide(Select* sel, std::uint32_t winner);
+  // One segment of a losing region (see Decide).
+  void Discard(Segment* s);
+  // Stops an undecided select whose whole region is being discarded.
+  void Abandon(Select* sel);
+  Segment* InsertFence(Segment* prev, Select* owner);
+  void RecycleFence(Segment* s);
 
   Consumer* AllocConsumers(std::uint32_t n) {
     return static_cast<Consumer*>(arena_.Alloc(n * sizeof(Consumer)));
@@ -329,7 +461,11 @@ class OpsEngine {
   Segment* NewSegment();
   void RecycleSegment(Segment* s);
   void CloseSegment(Segment* s) {
-    s->prev_bits |= 1u;
+    if (s->dead()) {
+      RecycleSegment(s);
+      return;
+    }
+    s->prev_bits |= Segment::kClosed;
     closed_.push_back(s);
   }
   // The segment a spawned writer takes at the split point: `cur` itself
@@ -379,9 +515,21 @@ class OpsEngine {
   Segment* live_ = nullptr;  ///< the open head, written through to the sink
   std::vector<Segment*> closed_;  ///< closed during this event
   std::size_t live_segments_ = 0;
+  // Dead segments whose writer has not yet stopped: while zero (always, on
+  // plans without selects) no consumer needs its segment checked.
+  std::size_t dead_segments_ = 0;
   std::size_t segments_peak_ = 0;
   std::vector<Scope> scopes_;
   std::vector<PendingExec> scratch_;
+  // Selects a running program has opened but not yet ended (alternatives
+  // may hold nested selects), with the alternative being written.
+  struct OpenSelect {
+    Select* sel;
+    std::uint32_t alt;
+  };
+  std::vector<OpenSelect> open_selects_;
+  std::vector<Slot*> nested_;     ///< ExecSelector: this program's nested slots
+  std::vector<Value> alt_values_;  ///< kSelEnd: the alternatives as values
   std::uint64_t skip_depth_ = 0;     ///< open elements with no consumer
   std::uint64_t total_consumers_ = 0;
 

@@ -5,6 +5,7 @@
 #include <cctype>
 
 #include "mft/mft.h"
+#include "util/limits.h"
 #include "util/strings.h"
 
 namespace xqmft {
@@ -335,6 +336,8 @@ class RuleParser {
   }
 
   Status ParseItem(RhsNode* out) {
+    NestingGuard nest(&depth_);
+    if (nest.too_deep()) return NestingTooDeep("MFT right-hand side");
     const Token& t = Peek();
     if (t.kind == Tok::kString) {
       std::string text = Advance().text;
@@ -400,6 +403,7 @@ class RuleParser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open RHS items
   bool saw_rule_ = false;
   std::unordered_map<std::string, StateId> state_ids_;
   std::vector<std::string> names_;

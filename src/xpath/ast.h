@@ -113,9 +113,10 @@ Result<Path> ParsePath(const std::string& text);
 
 /// Parses the step suffix of a path (everything after the variable) starting
 /// at `*pos` in `text`; used by the XQuery parser. Stops at the first
-/// character that cannot continue a path.
+/// character that cannot continue a path. `depth` is the nesting the path
+/// sits in; predicates nest further, up to kMaxNestingDepth in total.
 Status ParsePathSteps(const std::string& text, std::size_t* pos,
-                      RelPath* steps);
+                      RelPath* steps, int depth = 0);
 
 }  // namespace xqmft
 

@@ -1,6 +1,7 @@
 // Recursive-descent parser for the XPath fragment.
 #include <cctype>
 
+#include "util/limits.h"
 #include "util/strings.h"
 #include "xpath/ast.h"
 
@@ -22,8 +23,8 @@ bool IsNameChar(char c) {
 
 class StepParser {
  public:
-  StepParser(const std::string& text, std::size_t pos)
-      : s_(text), pos_(pos) {}
+  StepParser(const std::string& text, std::size_t pos, int depth)
+      : s_(text), pos_(pos), depth_(depth) {}
 
   std::size_t pos() const { return pos_; }
 
@@ -118,6 +119,9 @@ class StepParser {
   }
 
   Status ParsePredicate(Predicate* out) {
+    // Predicates nest through their paths' steps: the one recursion here.
+    NestingGuard nest(&depth_);
+    if (nest.too_deep()) return NestingTooDeep("XPath predicate");
     ++pos_;  // '['
     SkipWs();
     bool negated = false;
@@ -201,6 +205,7 @@ class StepParser {
 
   const std::string& s_;
   std::size_t pos_;
+  int depth_;  ///< enclosing nesting plus open predicates
 };
 
 std::string NodeTestToString(const NodeTest& t) {
@@ -247,8 +252,8 @@ std::string PathToString(const Path& path) {
 }
 
 Status ParsePathSteps(const std::string& text, std::size_t* pos,
-                      RelPath* steps) {
-  StepParser p(text, *pos);
+                      RelPath* steps, int depth) {
+  StepParser p(text, *pos, depth);
   XQMFT_RETURN_NOT_OK(p.ParseSteps(steps));
   *pos = p.pos();
   return Status::OK();

@@ -2,6 +2,7 @@
 // Section 2.1 variable-restriction validator.
 #include <cctype>
 
+#include "util/limits.h"
 #include "util/strings.h"
 #include "xquery/ast.h"
 
@@ -66,10 +67,14 @@ class Parser {
   Status ParseQueryExpr(std::unique_ptr<QueryExpr>* out) {
     SkipWs();
     if (pos_ < s_.size() && s_[pos_] == '<') return ParseElement(out);
+    NestingGuard nest(&depth_);
+    if (nest.too_deep()) return NestingTooDeep("query");
     return ParseClause(out);
   }
 
   Status ParseElement(std::unique_ptr<QueryExpr>* out) {
+    NestingGuard nest(&depth_);
+    if (nest.too_deep()) return NestingTooDeep("query");
     ++pos_;  // '<'
     auto e = std::make_unique<QueryExpr>();
     e->kind = QueryKind::kElement;
@@ -236,11 +241,12 @@ class Parser {
     } else {
       return Err("expected a path starting with $var or '/'");
     }
-    return ParsePathSteps(s_, &pos_, &out->steps);
+    return ParsePathSteps(s_, &pos_, &out->steps, depth_);
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open constructors and clauses
 };
 
 std::size_t PredicatesSize(const std::vector<Predicate>& preds);

@@ -225,9 +225,22 @@ q2(eps, y1) -> y1'
     expect_contains "$STATS" "lowered: no (parameter-carrying call"
     ;;
   run_engine_hybrid)
-    # A predicate query lowers hybrid: the opcode core runs the scan and the
-    # selector remainder executes as table-machine bridge sub-runs. --stats
-    # reports the classification and the bridge-run count.
+    # A copying parameter lowers hybrid: the Section 2.1 query hands subtree
+    # copies to a parameter state, which runs as table-machine bridge
+    # sub-runs under the opcode core. A predicate query's selector cluster
+    # compiles to opcode programs instead: full, no bridge runs. --stats
+    # reports both classifications and the bridge-run counts.
+    SQUERY='for $v1 in $input/descendant::a return for $v2 in $v1/descendant::b return let $v3 := $v2/descendant::c return let $v4 := $v2/descendant::d return ($v1,$v2,$v3,$v4)'
+    SXML="$TMPDIR_SMOKE/sec21.xml"
+    printf '<r><a><b><c>1</c><d>2</d></b></a></r>' > "$SXML"
+    OUT=$("$XQMFT" run "$SQUERY" "$SXML") || fail "exit $?"
+    expect_contains "$OUT" "<a><b><c>1</c><d>2</d></b></a><b><c>1</c>"
+    TOUT=$("$XQMFT" run --engine=table "$SQUERY" "$SXML") || fail "exit $?"
+    test "$TOUT" = "$OUT" || fail "table output differs: $TOUT"
+    STATS=$("$XQMFT" run --stats "$SQUERY" "$SXML" 2>&1) || fail "exit $?"
+    expect_contains "$STATS" "engine: ops"
+    expect_contains "$STATS" "lowered: yes (hybrid"
+    expect_contains "$STATS" "bridge runs: 1"
     PQUERY='<out>{ for $x in $input/doc/item[./text()="a"] return <hit>ok</hit> }</out>'
     OUT=$("$XQMFT" run "$PQUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "<out><hit>ok</hit></out>"
@@ -235,8 +248,36 @@ q2(eps, y1) -> y1'
     test "$TOUT" = "$OUT" || fail "table output differs: $TOUT"
     STATS=$("$XQMFT" run --stats "$PQUERY" "$XML" 2>&1) || fail "exit $?"
     expect_contains "$STATS" "engine: ops"
-    expect_contains "$STATS" "lowered: yes (hybrid"
-    expect_contains "$STATS" "bridge runs: 2"
+    expect_contains "$STATS" "lowered: yes (full)"
+    expect_contains "$STATS" "bridge runs: 0"
+    expect_contains "$STATS" "cells refcounted: 0"
+    ;;
+  run_deep_nesting)
+    # 20,000 nested constructors (about 140 KB of query text) exceed the
+    # parsers' nesting cap: a clean error, not a stack overflow.
+    DEEP="$TMPDIR_SMOKE/deep.xq"
+    awk 'BEGIN { for (i = 0; i < 20000; i++) printf "<r>"
+                 printf "{$input/doc}"
+                 for (i = 0; i < 20000; i++) printf "</r>" }' > "$DEEP"
+    "$XQMFT" run --query-file "$DEEP" "$XML" > /dev/null \
+      2> "$TMPDIR_SMOKE/err" && fail "expected nonzero exit"
+    expect_contains "$(cat "$TMPDIR_SMOKE/err")" \
+      "ResourceExhausted: query nesting depth exceeds the limit of 256 levels"
+    ;;
+  serve_deep_nesting)
+    # The serve loop answers an over-deep query with an error (under the
+    # 1 MiB line limit, so it reaches the parser) and serves the next line.
+    DEEPQ=$(awk 'BEGIN { for (i = 0; i < 20000; i++) printf "<r>"
+                         printf "{$input/doc}"
+                         for (i = 0; i < 20000; i++) printf "</r>" }')
+    OUT=$(printf '%s\n' \
+      "{\"id\":1,\"query\":\"$DEEPQ\",\"xml\":[\"$DOC\"]}" \
+      "{\"id\":2,\"query\":\"$QUERY\",\"xml\":[\"$DOC\"]}" \
+      | "$XQMFT" serve) || fail "exit $?"
+    expect_contains "$OUT" '"id":1,"ok":false'
+    expect_contains "$OUT" "nesting depth exceeds the limit of 256 levels"
+    expect_contains "$OUT" '"id":2,"ok":true'
+    expect_contains "$OUT" "$WANT"
     ;;
   run_dag)
     OUT=$("$XQMFT" run --dag "$QUERY" "$XML") || fail "exit $?"

@@ -7,6 +7,7 @@
 
 #include "mft/interp.h"
 #include "mft/mft.h"
+#include "util/limits.h"
 #include "util/rng.h"
 #include "xml/forest.h"
 #include "xml/sax_parser.h"
@@ -356,6 +357,32 @@ TEST_P(MftCopyProperty, IdentityOnRandomForests) {
   Result<Forest> out = RunMft(m, f);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value(), f);
+}
+
+TEST(MftParserTest, RhsNestingIsCapped) {
+  // `eps` inside n nested labels is n + 1 right-hand-side items deep.
+  auto nested = [](int labels) {
+    std::string rules = "q(%t(x1)x2) -> ";
+    for (int i = 0; i < labels; ++i) rules += "a(";
+    rules += "eps";
+    for (int i = 0; i < labels; ++i) rules += ")";
+    return rules + " q(x2)\nq(eps) -> eps\n";
+  };
+  Mft m = MustParseMft(nested(kMaxNestingDepth - 1));
+  ASSERT_TRUE(m.Validate().ok());
+  // Leaf labels print bare: a(a(...a...)).
+  std::string want;
+  for (int i = 0; i < kMaxNestingDepth - 2; ++i) want += "a(";
+  want += "a";
+  for (int i = 0; i < kMaxNestingDepth - 2; ++i) want += ")";
+  EXPECT_EQ(RunToTerm(m, MustParseXml("<x/>")), want);
+
+  Result<Mft> deep = ParseMft(nested(kMaxNestingDepth));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(deep.status().message().find("MFT right-hand side nesting depth"),
+            std::string::npos)
+      << deep.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MftCopyProperty, ::testing::Range(0, 30));

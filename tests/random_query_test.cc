@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "event_trace_util.h"
 #include "gcx/gcx_engine.h"
 #include "lower/lower.h"
 #include "service/query_cache.h"
@@ -404,8 +405,10 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     const bool lowers = lp != nullptr;
     const bool hybrid = lowers && lp->hybrid;
     if (debug && !lowers) std::fprintf(stderr, "no lowering: %s\n", why.c_str());
-    // The classification and its note must agree: hybrid plans carry bridge
-    // sites and say so; full plans say "full".
+    // The classification and its note must agree: hybrid plans (a call to a
+    // copying parameter state, bridged to the table machine) carry bridge
+    // sites and say so; full plans — predicate selectors included — say
+    // "full".
     if (lowers) {
       if (hybrid) {
         ASSERT_FALSE(lp->bridge_sites.empty()) << text;
@@ -442,6 +445,19 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
           << "ops engine vs table engine\nquery: " << text
           << "\ndoc: " << doc.value << "\nlowers: " << lowers
           << "\nwhy: " << why;
+      // Predicates run as selects: held regions, selector consumers and
+      // discards must not depend on where refills slice the input.
+      if (lowers && text.find('[') != std::string::npos) {
+        for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+          ChunkedSource source(doc.value, chunk);
+          StringSink chunked;
+          Status cs = RunMft(opt, ParallelInput::Bytes(&source), &chunked);
+          ASSERT_TRUE(cs.ok()) << text << "\n" << cs.ToString();
+          ASSERT_EQ(chunked.str(), table_sink.str())
+              << "chunk=" << chunk << "\nquery: " << text
+              << "\ndoc: " << doc.value;
+        }
+      }
     }
   }
 }

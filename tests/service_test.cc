@@ -73,6 +73,26 @@ TEST(QueryCacheTest, MissCompilesThenHitSharesThePlan) {
             DirectOutput(QueryFor("a"), kDoc));
 }
 
+TEST(QueryCacheTest, OverDeepQueryFailsAndIsNotCached) {
+  // 20,000 nested constructors: the parser's nesting cap rejects the text
+  // (a resource limit, not a syntax error) and every lookup recompiles.
+  std::string deep;
+  for (int i = 0; i < 20000; ++i) deep += "<r>";
+  deep += "{$input/a}";
+  for (int i = 0; i < 20000; ++i) deep += "</r>";
+  QueryCache cache;
+  for (int i = 0; i < 2; ++i) {
+    auto r = cache.Lookup(deep);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+  QueryCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.failures, 2u);
+  EXPECT_EQ(stats.compiles, 2u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
 TEST(QueryCacheTest, InsignificantWhitespaceSharesAnEntry) {
   QueryCache cache;
   ASSERT_TRUE(cache.Lookup(QueryFor("a")).ok());

@@ -7,6 +7,9 @@
 #include <string>
 
 #include "bench_common/queries.h"
+#include "core/pipeline.h"
+#include "run_util.h"
+#include "util/limits.h"
 #include "xml/forest.h"
 #include "xml/sax_parser.h"
 #include "xquery/ast.h"
@@ -263,6 +266,67 @@ TEST(XQueryEvalTest, FourstarSelection) {
   auto q = MustParse(bq.text);
   Forest doc = MustParseXml("<a><b><c><d><e/></d></c></b></a>");
   EXPECT_EQ(EvalToTerm(*q, doc), "fourstar(d(e) e)");
+}
+
+// ---------------------------------------------------------------------------
+// Nesting cap
+
+std::string NestedConstructors(int n, const std::string& inner) {
+  std::string q;
+  for (int i = 0; i < n; ++i) q += "<r>";
+  q += inner;
+  for (int i = 0; i < n; ++i) q += "</r>";
+  return q;
+}
+
+std::string NestedPredicates(int n) {
+  std::string q = "<out>{$input/a";
+  for (int i = 0; i < n; ++i) q += "[./a";
+  for (int i = 0; i < n; ++i) q += "]";
+  return q + "}</out>";
+}
+
+void ExpectTooDeep(const std::string& query, const std::string& what) {
+  auto r = ParseQuery(query);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().message(),
+            what + " nesting depth exceeds the limit of " +
+                std::to_string(kMaxNestingDepth) + " levels");
+}
+
+TEST(XQueryParserTest, NestingAtTheCapCompilesAndRuns) {
+  // Constructors, clauses and predicates count one level each. Every stage
+  // after parsing recurses over the same nesting, so running a query at the
+  // cap is also the stack check for the sanitizer build.
+  const std::string doc = "<a><a>x</a></a>";
+  const std::string constructors =
+      NestedConstructors(kMaxNestingDepth - 1, "{$input/a}");
+  auto plan = CompiledPlan::Compile(constructors);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  StringSink sink;
+  ASSERT_TRUE(RunXml(*plan.value(), doc, &sink).ok());
+  EXPECT_EQ(sink.str(), NestedConstructors(kMaxNestingDepth - 1, doc));
+
+  // <out> and its clause take two levels; the predicates the rest.
+  plan = CompiledPlan::Compile(NestedPredicates(kMaxNestingDepth - 2));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  StringSink pred_sink;
+  ASSERT_TRUE(RunXml(*plan.value(), doc, &pred_sink).ok());
+  EXPECT_EQ(pred_sink.str(), "<out></out>");
+}
+
+TEST(XQueryParserTest, NestingPastTheCapIsResourceExhausted) {
+  ExpectTooDeep(NestedConstructors(kMaxNestingDepth, "{$input/a}"), "query");
+  // About 140 KB of query text: deep enough to overflow the stack of an
+  // uncapped recursive descent.
+  ExpectTooDeep(NestedConstructors(20000, "{$input/a}"), "query");
+  std::string lets;
+  for (int i = 0; i < kMaxNestingDepth; ++i) {
+    lets += "let $v" + std::to_string(i) + " := $input/a return ";
+  }
+  ExpectTooDeep(lets + "$input/a", "query");
+  ExpectTooDeep(NestedPredicates(kMaxNestingDepth - 1), "XPath predicate");
 }
 
 }  // namespace
