@@ -6,6 +6,14 @@
 //                  what stdin/pipe input pays)
 //   pretok/*       pre-tokenized binary events, zero scanning
 //
+// and the projection skip (EventSource::SkipElement) over each Table 1
+// document, skipping everything below the root element — the ceiling of
+// what a projected-out subtree costs per byte:
+//
+//   sax_skip/<doc>/mapped    SaxParser::SkipElement over the whole region
+//   sax_skip/<doc>/chunked   same behind 64 KiB Read() refills (stdin)
+//   pretok_skip/<doc>        PretokSource::SkipElement over the records
+//
 // plus a text-heavy document isolating the memchr text scan and a
 // markup-heavy one isolating name/attr scanning. items_per_second = events/s
 // and bytes_per_second = input MB/s in the JSON report; the BENCH_pr3
@@ -170,6 +178,90 @@ void BenchPretok(benchmark::State& state, const std::string& doc) {
       static_cast<int64_t>(doc.size() * state.iterations()));
 }
 
+const std::string& Table1Doc(DatasetKind kind) {
+  static std::string docs[4];
+  static bool made[4] = {};
+  const int i = static_cast<int>(kind);
+  if (!made[i]) {
+    auto r = GenerateDatasetString(kind, EnvMb("XQMFT_BENCH_PARSER_MB", 4), 7);
+    if (r.ok()) docs[i] = std::move(r).value();
+    made[i] = true;
+  }
+  return docs[i];
+}
+
+// Next() to the root's start, SkipElement() through its end, Next() to the
+// end of the document; reports the bytes the skip consumed.
+Status SkipRoot(EventSource* events, std::size_t* bytes_skipped) {
+  XmlEvent ev;
+  XQMFT_RETURN_NOT_OK(events->Next(&ev));
+  if (ev.type != XmlEventType::kStartElement) {
+    return Status::InvalidArgument("document has no root element");
+  }
+  const std::size_t before = events->bytes_consumed();
+  XQMFT_RETURN_NOT_OK(events->SkipElement(nullptr));
+  *bytes_skipped = events->bytes_consumed() - before;
+  XQMFT_RETURN_NOT_OK(events->Next(&ev));
+  if (ev.type != XmlEventType::kEndOfDocument) {
+    return Status::InvalidArgument("expected one root element");
+  }
+  return Status::OK();
+}
+
+template <typename MakeEvents>
+void BenchSkip(benchmark::State& state, const std::string& doc,
+               const MakeEvents& make) {
+  if (doc.empty()) {
+    state.SkipWithError("document generation failed");
+    return;
+  }
+  std::size_t bytes_skipped = 0;
+  for (auto _ : state) {
+    Status st = make([&](EventSource* events) {
+      return SkipRoot(events, &bytes_skipped);
+    });
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  state.counters["bytes_skipped"] = static_cast<double>(bytes_skipped);
+  state.SetBytesProcessed(
+      static_cast<int64_t>(doc.size() * state.iterations()));
+}
+
+void BenchSaxSkip(benchmark::State& state, const std::string& doc,
+                  bool chunked) {
+  BenchSkip(state, doc, [&](const auto& skip) {
+    std::unique_ptr<ByteSource> source;
+    if (chunked) {
+      source = std::make_unique<OpaqueSource>(doc);
+    } else {
+      source = std::make_unique<StringSource>(doc);
+    }
+    SaxParser parser(source.get());
+    return skip(&parser);
+  });
+}
+
+void BenchPretokSkip(benchmark::State& state, const std::string& doc) {
+  std::string pretok;
+  if (!doc.empty()) {
+    StringSource src(doc);
+    Status st = PretokenizeXml(&src, {}, &pretok);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  BenchSkip(state, doc, [&](const auto& skip) {
+    PretokSource source(pretok);
+    return skip(&source);
+  });
+  // Bytes are the XML bytes the skipped records stand for, as in pretok/*.
+  state.counters["pretok_bytes"] = static_cast<double>(pretok.size());
+}
+
 void Register() {
   struct Doc {
     const char* name;
@@ -192,6 +284,24 @@ void Register() {
     benchmark::RegisterBenchmark(
         (std::string("pretok/") + d.name).c_str(),
         [get = d.get](benchmark::State& st) { BenchPretok(st, get()); })
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (DatasetKind kind : {DatasetKind::kXmark, DatasetKind::kTreebank,
+                           DatasetKind::kMedline, DatasetKind::kProtein}) {
+    const std::string name = DatasetName(kind);
+    for (bool chunked : {false, true}) {
+      benchmark::RegisterBenchmark(
+          ("sax_skip/" + name + (chunked ? "/chunked" : "/mapped")).c_str(),
+          [kind, chunked](benchmark::State& st) {
+            BenchSaxSkip(st, Table1Doc(kind), chunked);
+          })
+          ->Unit(benchmark::kMillisecond);
+    }
+    benchmark::RegisterBenchmark(
+        ("pretok_skip/" + name).c_str(),
+        [kind](benchmark::State& st) {
+          BenchPretokSkip(st, Table1Doc(kind));
+        })
         ->Unit(benchmark::kMillisecond);
   }
 }

@@ -205,6 +205,8 @@ void Pass(const std::vector<const CompiledPlan*>& plans,
 void AddPass(const MultiQueryStats& pass, MultiQueryStats* total) {
   total->events_total += pass.events_total;
   total->events_skipped += pass.events_skipped;
+  total->subtrees_skipped += pass.subtrees_skipped;
+  total->bytes_skipped += pass.bytes_skipped;
   total->bytes_in += pass.bytes_in;
   total->projection_enabled =
       total->projection_enabled || pass.projection_enabled;

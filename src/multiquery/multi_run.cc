@@ -119,6 +119,15 @@ Status MultiQueryRun::Run(EventSource* events) {
     }
     if (projection != nullptr && !projection->Feed(event)) {
       ++stats_.events_skipped;
+      if (event.type == XmlEventType::kStartElement) {
+        // The rest of the element never becomes events: the source skips
+        // it, polling the run-level token as it goes.
+        const std::size_t before = events->bytes_consumed();
+        Status sst = events->SkipElement(cancel_);
+        if (!sst.ok()) return Abort(events, std::move(sst));
+        ++stats_.subtrees_skipped;
+        stats_.bytes_skipped += events->bytes_consumed() - before;
+      }
       continue;
     }
     for (std::size_t i = 0; i < n; ++i) {

@@ -2,7 +2,9 @@
 // push-mode engines (stream/engine.h). The input is tokenized exactly once
 // — the inversion of parallel/'s one-query/many-shards split — and the
 // union projection automaton (union_projection.h) drops events no plan can
-// observe before they reach any engine.
+// observe before they reach any engine; a rejected element's subtree is
+// skipped by the source itself (EventSource::SkipElement), so its bytes are
+// never tokenized into events.
 //
 // Symbol spaces: the shared source binds to the run's master table; each
 // engine keeps its own run-local table (its rule ids live there), bridged
@@ -52,7 +54,14 @@ struct MultiPlanResult {
 
 struct MultiQueryStats {
   std::uint64_t events_total = 0;    ///< events the shared source produced
-  std::uint64_t events_skipped = 0;  ///< dropped by the union projection
+  /// Events produced and then dropped by the union projection: a skipped
+  /// subtree counts only its start event, since the source skips the rest
+  /// without producing events.
+  std::uint64_t events_skipped = 0;
+  /// Subtrees the source skipped (EventSource::SkipElement) and the input
+  /// bytes those skips consumed — the bytes_consumed() delta around each.
+  std::uint64_t subtrees_skipped = 0;
+  std::uint64_t bytes_skipped = 0;
   std::size_t bytes_in = 0;          ///< shared input bytes, counted once
   bool projection_enabled = false;
 };
@@ -65,8 +74,9 @@ class MultiQueryRun {
  public:
   /// `union_projection` merges the plans' projections and skips subtrees no
   /// plan can observe at the source. `cancel` is the run-level token, polled
-  /// in the shared pump so projection-skipped stretches — where no engine
-  /// sees events — cannot outrun a deadline; a trip aborts every unfinished
+  /// in the shared pump (every 256 events) and inside each source skip
+  /// (every 64 KiB) so projection-skipped stretches — where no engine sees
+  /// events — cannot outrun a deadline; a trip aborts every unfinished
   /// plan with the token's status, and plans that already completed keep
   /// their results. Engines poll their own StreamOptions::cancel. Must
   /// outlive the run; null means not cancellable.

@@ -87,18 +87,16 @@ bool UnionProjection::Feed(const XmlEvent& event) {
     case XmlEventType::kEndOfDocument:
       return true;
     case XmlEventType::kText: {
-      if (!frames_.empty() && frames_.back() != FrameKind::kTrack) {
-        return frames_.back() == FrameKind::kKeep;
-      }
+      if (!frames_.empty() && frames_.back() == FrameKind::kKeep) return true;
       for (const Pos& p : sets_[sets_top_]) {
         if (StepMatchesText(paths_[p.path][p.step].kind)) return true;
       }
       return false;
     }
     case XmlEventType::kStartElement: {
-      if (!frames_.empty() && frames_.back() != FrameKind::kTrack) {
-        frames_.push_back(frames_.back());
-        return frames_.back() == FrameKind::kKeep;
+      if (!frames_.empty() && frames_.back() == FrameKind::kKeep) {
+        frames_.push_back(FrameKind::kKeep);
+        return true;
       }
       SymbolId sym = event.symbol;
       bool advanced = false;
@@ -121,10 +119,7 @@ bool UnionProjection::Feed(const XmlEvent& event) {
         frames_.push_back(FrameKind::kKeep);
         return true;
       }
-      if (!advanced && next_.empty()) {
-        frames_.push_back(FrameKind::kSkip);
-        return false;
-      }
+      if (!advanced && next_.empty()) return false;  // skipped: no frame
       frames_.push_back(FrameKind::kTrack);
       ++sets_top_;
       if (sets_top_ == sets_.size()) sets_.emplace_back();
@@ -134,13 +129,9 @@ bool UnionProjection::Feed(const XmlEvent& event) {
     }
     case XmlEventType::kEndElement: {
       if (frames_.empty()) return true;  // unbalanced input: parser's problem
-      FrameKind k = frames_.back();
+      if (frames_.back() == FrameKind::kTrack) --sets_top_;
       frames_.pop_back();
-      if (k == FrameKind::kTrack) {
-        --sets_top_;
-        return true;
-      }
-      return k == FrameKind::kKeep;
+      return true;
     }
   }
   return true;

@@ -1,7 +1,9 @@
 // The union projection automaton: one position-set NFA over the merged
 // projection paths of every plan in a multi-query run, deciding per input
 // event whether *any* plan could observe it. Subtrees no plan can match are
-// skipped exactly once, at the shared source, instead of once per engine.
+// skipped exactly once, at the shared source, instead of once per engine —
+// and, since the event source skips them itself (EventSource::SkipElement),
+// never tokenized into events at all.
 //
 // Soundness rule (see projection.h for why this is stricter than GCX's
 // in-buffer projection): an element is forwarded iff it advanced some path
@@ -10,6 +12,13 @@
 // subtree. A completed keep-subtree path switches its subtree into
 // forward-everything mode; text is forwarded only where a live position's
 // step matches text nodes (or inside a kept subtree).
+//
+// Skip contract: a start element Feed() rejects gets no frame, so the
+// caller must not feed any event of its subtree, its end included — the
+// pump (multiquery/multi_run.h) calls SkipElement() on the source instead.
+// The skip validates the subtree exactly as the full lexer would (see
+// xml/sax_parser.h), and MultiQueryStats counts it in subtrees_skipped and
+// bytes_skipped.
 #ifndef XQMFT_MULTIQUERY_UNION_PROJECTION_H_
 #define XQMFT_MULTIQUERY_UNION_PROJECTION_H_
 
@@ -37,7 +46,8 @@ class UnionProjection {
 
   /// Decides whether this event must reach the engines. Call once per event
   /// in document order; kEndOfDocument is always forwarded. When disabled,
-  /// always true.
+  /// always true. A rejected kStartElement's subtree must then be skipped
+  /// at the source, not fed (the skip contract above).
   bool Feed(const XmlEvent& event);
 
  private:
@@ -52,10 +62,11 @@ class UnionProjection {
     std::uint32_t path;
     std::uint32_t step;
   };
-  // Every open element owns one frame: tracked (a position set on the sets
-  // stack), skipped (position set was empty), or kept (inside a completed
-  // keep-subtree match). Skip/keep need no sets — depth alone suffices.
-  enum class FrameKind : unsigned char { kTrack, kSkip, kKeep };
+  // Every open element the engines see owns one frame: tracked (a position
+  // set on the sets stack) or kept (inside a completed keep-subtree match;
+  // needs no set — depth alone suffices). Rejected elements are skipped at
+  // the source and own no frame.
+  enum class FrameKind : unsigned char { kTrack, kKeep };
 
   void PushNext(Pos p);
 

@@ -206,6 +206,8 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
         per_request[i].total = slot.total;
         per_request[i].events_fed = slot.events_fed;
         per_request[i].events_skipped = result.pass.events_skipped;
+        per_request[i].subtrees_skipped = result.pass.subtrees_skipped;
+        per_request[i].bytes_skipped = result.pass.bytes_skipped;
         if (!slot.status.ok()) continue;
         // A member whose own token tripped while a shared (deduped) slot
         // kept streaming for its siblings gets its token's status, not a

@@ -62,8 +62,11 @@ struct ServiceRequestStats {
   bool deduped = false;
   std::uint64_t events_fed = 0;  ///< events this request's engine consumed
   /// Events the union projection dropped at the shared source for this
-  /// request's group (identical for every request in the group).
+  /// request's group, and the subtrees and input bytes the source skipped
+  /// for it (all identical for every request in the group).
   std::uint64_t events_skipped = 0;
+  std::uint64_t subtrees_skipped = 0;
+  std::uint64_t bytes_skipped = 0;
 };
 
 /// \brief Cost of one ExecuteBatch call, with shared work attributed once.

@@ -624,6 +624,8 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     w.Raw("deduped", rs.deduped ? "true" : "false");
     w.Raw("events_fed", std::to_string(rs.events_fed));
     w.Raw("events_skipped", std::to_string(rs.events_skipped));
+    w.Raw("subtrees_skipped", std::to_string(rs.subtrees_skipped));
+    w.Raw("bytes_skipped", std::to_string(rs.bytes_skipped));
     w.Raw("output_events", std::to_string(rs.total.output_events));
     w.Raw("peak_mem_bytes", std::to_string(rs.total.peak_bytes));
     w.Field("engine", rs.total.used_ops_engine ? "ops" : "table");

@@ -74,6 +74,20 @@ std::size_t ScalarAttrRun(const char* p, std::size_t n, std::size_t i,
   return i;
 }
 
+// Finishes a skip run from offset i, adding to the caller's newline tally.
+std::size_t ScalarSkipRun(const char* p, std::size_t n, std::size_t i,
+                          std::size_t* newlines, std::size_t* line_end) {
+  for (; i < n; ++i) {
+    char c = p[i];
+    if (c == '<' || c == '&') break;
+    if (c == '\n') {
+      ++*newlines;
+      *line_end = i + 1;
+    }
+  }
+  return i;
+}
+
 #if defined(XQMFT_SIMD_SSE2) || defined(XQMFT_SIMD_NEON)
 inline unsigned CountTrailingZeros(unsigned long long mask) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -84,6 +98,27 @@ inline unsigned CountTrailingZeros(unsigned long long mask) {
     mask >>= 1;
     ++k;
   }
+  return k;
+#endif
+}
+
+inline unsigned PopCount(unsigned long long mask) {
+#if defined(__GNUC__) || defined(__clang__)
+  return static_cast<unsigned>(__builtin_popcountll(mask));
+#else
+  unsigned k = 0;
+  for (; mask != 0; mask &= mask - 1) ++k;
+  return k;
+#endif
+}
+
+// Index of the highest set bit of a non-zero mask.
+inline unsigned HighestBit(unsigned long long mask) {
+#if defined(__GNUC__) || defined(__clang__)
+  return 63u - static_cast<unsigned>(__builtin_clzll(mask));
+#else
+  unsigned k = 0;
+  while (mask >>= 1) ++k;
   return k;
 #endif
 }
@@ -177,6 +212,32 @@ std::size_t SimdAttrRun(const char* p, std::size_t n, char quote) {
   return ScalarAttrRun(p, n, i, quote);
 }
 
+// One sweep finds the first '<' or '&' and counts the '\n' bytes before it.
+std::size_t SimdSkipRun(const char* p, std::size_t n, std::size_t* newlines,
+                        std::size_t* line_end) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
+    __m128i stop = _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8('<')),
+                                _mm_cmpeq_epi8(v, _mm_set1_epi8('&')));
+    unsigned stop_mask = static_cast<unsigned>(_mm_movemask_epi8(stop));
+    unsigned nl_mask = static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8('\n'))));
+    unsigned k = 16;
+    if (stop_mask != 0) {
+      k = CountTrailingZeros(stop_mask);
+      nl_mask &= (1u << k) - 1;
+    }
+    if (nl_mask != 0) {
+      *newlines += PopCount(nl_mask);
+      *line_end = i + HighestBit(nl_mask) + 1;
+    }
+    if (stop_mask != 0) return i + k;
+  }
+  return ScalarSkipRun(p, n, i, newlines, line_end);
+}
+
 #elif defined(XQMFT_SIMD_NEON)
 
 // NEON lacks movemask; narrow each comparison byte to a nibble so a 16-byte
@@ -261,6 +322,30 @@ std::size_t SimdAttrRun(const char* p, std::size_t n, char quote) {
   return ScalarAttrRun(p, n, i, quote);
 }
 
+// Nibble masks: 4 bits per lane, so counts divide by 4 and indices shift 2.
+std::size_t SimdSkipRun(const char* p, std::size_t n, std::size_t* newlines,
+                        std::size_t* line_end) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    uint8x16_t v = vld1q_u8(reinterpret_cast<const std::uint8_t*>(p + i));
+    uint8x16_t stop = vorrq_u8(vceqq_u8(v, vdupq_n_u8('<')),
+                               vceqq_u8(v, vdupq_n_u8('&')));
+    unsigned long long stop_mask = Nibbles16(stop);
+    unsigned long long nl_mask = Nibbles16(vceqq_u8(v, vdupq_n_u8('\n')));
+    unsigned k = 16;
+    if (stop_mask != 0) {
+      k = CountTrailingZeros(stop_mask) >> 2;
+      nl_mask &= k == 0 ? 0 : (~0ULL >> (64 - 4 * k));
+    }
+    if (nl_mask != 0) {
+      *newlines += PopCount(nl_mask) >> 2;
+      *line_end = i + (HighestBit(nl_mask) >> 2) + 1;
+    }
+    if (stop_mask != 0) return i + k;
+  }
+  return ScalarSkipRun(p, n, i, newlines, line_end);
+}
+
 #endif
 
 inline bool UseSimd(std::size_t n) {
@@ -316,6 +401,16 @@ std::size_t ScanAttrRun(const char* p, std::size_t n, char quote) {
   if (UseSimd(n)) return SimdAttrRun(p, n, quote);
 #endif
   return ScalarAttrRun(p, n, 0, quote);
+}
+
+std::size_t ScanSkipRun(const char* p, std::size_t n, std::size_t* newlines,
+                        std::size_t* line_end) {
+  *newlines = 0;
+  *line_end = 0;
+#if defined(XQMFT_SIMD_SSE2) || defined(XQMFT_SIMD_NEON)
+  if (UseSimd(n)) return SimdSkipRun(p, n, newlines, line_end);
+#endif
+  return ScalarSkipRun(p, n, 0, newlines, line_end);
 }
 
 }  // namespace xqmft

@@ -83,6 +83,15 @@ std::size_t ScanWsRun(const char* p, std::size_t n);
 /// attribute value run). `quote` is '"' or '\''.
 std::size_t ScanAttrRun(const char* p, std::size_t n, char quote);
 
+/// The projection skip's text kernel (SaxParser::SkipElement): the length of
+/// the prefix of [p, p+n) containing neither '<' nor '&', with the '\n'
+/// bytes of that prefix counted in the same sweep — `*newlines` gets their
+/// number and `*line_end` the offset one past the last of them (0 when
+/// there is none) — so the skip keeps line, column and byte positions exact
+/// without a second pass over the bytes.
+std::size_t ScanSkipRun(const char* p, std::size_t n, std::size_t* newlines,
+                        std::size_t* line_end);
+
 }  // namespace xqmft
 
 #endif  // XQMFT_XML_CHAR_CLASS_H_

@@ -173,6 +173,7 @@ bool PretokSource::GetVarint(std::uint64_t* v) {
 }
 
 Status PretokSource::Next(XmlEvent* event) {
+  skip_ready_ = false;
   XQMFT_RETURN_NOT_OK(header_status_);
   if (done_) {
     // Match SaxParser: no stale views from the prior event survive on the
@@ -219,6 +220,7 @@ Status PretokSource::Next(XmlEvent* event) {
         if (fid >= remap_.size()) return Fail("undefined symbol id");
         SymbolId sym = remap_[fid];
         open_.push_back(sym);
+        skip_ready_ = true;
         event->type = XmlEventType::kStartElement;
         event->symbol = sym;
         event->name = symbols_->name(sym);
@@ -261,6 +263,70 @@ Status PretokSource::Next(XmlEvent* event) {
         event->text = {};
         return Status::OK();
       }
+      default:
+        return Fail(StrFormat("unknown opcode 0x%02x", op));
+    }
+  }
+}
+
+Status PretokSource::SkipElement(const CancelToken* cancel) {
+  if (!skip_ready_) {
+    return Status::Internal(
+        "SkipElement must directly follow the start element Next() returned");
+  }
+  skip_ready_ = false;
+  // Next()'s record checks, in the same order, minus the events. `depth`
+  // counts the skipped element's open descendants on top of open_.back().
+  std::size_t depth = 0;
+  std::size_t next_poll = pos_ + kSkipPollBytes;
+  while (true) {
+    if (cancel != nullptr && pos_ >= next_poll) {
+      next_poll = pos_ + kSkipPollBytes;
+      XQMFT_RETURN_NOT_OK(cancel->Check());
+    }
+    if (pos_ >= end_) {
+      if (!bounded_) return Fail("truncated stream (missing eod)");
+      return Fail("bounded range ended inside an element");
+    }
+    unsigned char op = static_cast<unsigned char>(data_[pos_++]);
+    switch (op) {
+      case kOpDefine: {
+        std::uint64_t len;
+        if (!GetVarint(&len) || end_ - pos_ < len) {
+          return Fail("truncated symbol definition");
+        }
+        remap_.push_back(
+            symbols_->Intern(NodeKind::kElement, data_.substr(pos_, len)));
+        pos_ += len;
+        break;
+      }
+      case kOpStart: {
+        std::uint64_t fid;
+        if (!GetVarint(&fid)) return Fail("truncated start record");
+        if (fid >= remap_.size()) return Fail("undefined symbol id");
+        ++depth;
+        break;
+      }
+      case kOpEnd:
+        if (depth == 0) {
+          open_.pop_back();
+          return Status::OK();
+        }
+        --depth;
+        break;
+      case kOpText: {
+        std::uint64_t len;
+        if (!GetVarint(&len) || end_ - pos_ < len) {
+          return Fail("truncated text record");
+        }
+        pos_ += len;
+        break;
+      }
+      case kOpEod:
+        if (bounded_) {
+          return Fail("unexpected eod record inside a bounded range");
+        }
+        return Fail("eod with unclosed elements");
       default:
         return Fail(StrFormat("unknown opcode 0x%02x", op));
     }

@@ -125,6 +125,12 @@ class PretokSource : public EventSource {
       const std::string& path);
 
   Status Next(XmlEvent* event) override;
+  /// Walks records through the end of the element the last Next() started,
+  /// producing no events (EventSource::SkipElement). Define records are
+  /// still interned, so file ids stay dense; every record is checked as
+  /// Next() checks it, with the same error text and byte. Fails with
+  /// Internal when the last Next() did not return a start element.
+  Status SkipElement(const CancelToken* cancel) override;
   /// Bytes consumed: of the whole stream (header included), or of the
   /// record range for a bounded source.
   std::size_t bytes_consumed() const override { return pos_ - range_begin_; }
@@ -166,6 +172,7 @@ class PretokSource : public EventSource {
   SymbolTable* symbols_;
   std::vector<SymbolId> remap_;  // file id -> consumer SymbolId
   std::vector<SymbolId> open_;   // element stack for end events
+  bool skip_ready_ = false;      // the last Next() returned a start element
   Status header_status_;
   SaxOptions declared_;
   std::uint64_t source_size_ = 0;

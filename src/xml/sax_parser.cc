@@ -164,8 +164,12 @@ Status SaxParser::Fail(const std::string& msg) const {
 }
 
 Status SaxParser::Next(XmlEvent* event) {
+  skip_target_ = SkipTarget::kNone;
   if (pending_head_ < pending_.size()) {
     const PendingEvent& p = pending_[pending_head_++];
+    if (p.type == XmlEventType::kStartElement) {
+      skip_target_ = SkipTarget::kAttribute;
+    }
     event->type = p.type;
     event->symbol = p.symbol;
     event->attrs = nullptr;
@@ -402,6 +406,7 @@ Status SaxParser::LexMarkup(XmlEvent* event) {
     // Queue the matching end event behind any attribute-encoding events.
     pending_.push_back({XmlEventType::kEndElement, sym, 0, 0});
   }
+  skip_target_ = self_closing ? SkipTarget::kSelfClosed : SkipTarget::kOpen;
   return Status::OK();
 }
 
@@ -627,6 +632,171 @@ Status SaxParser::DecodeEntity(std::string* out) {
     return Fail("unknown entity &" + ent + ";");
   }
   return Status::OK();
+}
+
+// --- Projection skip ---------------------------------------------------------
+//
+// Every check below is the full lexer's own, made in the same order from the
+// same position, so a skipped element fails exactly where and how Next()
+// would have. The fast paths only take "<name>" and "</top>" wholly inside
+// the window; anything else goes through the general path, which walks the
+// same helpers as LexMarkup minus interning and event building.
+
+std::string_view SaxParser::SkipTop() const {
+  return std::string_view(skip_names_).substr(skip_starts_.back());
+}
+
+void SaxParser::PushSkip(std::string_view name) {
+  skip_starts_.push_back(skip_names_.size());
+  skip_names_.append(name.data(), name.size());
+}
+
+void SaxParser::PopSkip() {
+  skip_names_.resize(skip_starts_.back());
+  skip_starts_.pop_back();
+}
+
+Status SaxParser::SkipElement(const CancelToken* cancel) {
+  const SkipTarget target = skip_target_;
+  skip_target_ = SkipTarget::kNone;
+  if (target == SkipTarget::kNone) {
+    return Status::Internal(
+        "SkipElement must directly follow the start tag Next() returned");
+  }
+  if (target == SkipTarget::kAttribute) {
+    // An expanded attribute: drop its queued text and end events.
+    while (pending_[pending_head_++].type != XmlEventType::kEndElement) {
+    }
+    return Status::OK();
+  }
+  // The tag's attribute/self-close events; dropping them also frees
+  // tag_spill_, which the skip reuses.
+  pending_head_ = pending_.size();
+  if (target == SkipTarget::kSelfClosed) return Status::OK();
+  // The element moves from the open stack to the skip stack.
+  skip_names_.clear();
+  skip_starts_.clear();
+  PushSkip(symbols_->name(open_.back()));
+  open_.pop_back();
+  std::size_t next_poll = bytes_consumed_ + kSkipPollBytes;
+  while (true) {
+    if (cancel != nullptr && bytes_consumed_ >= next_poll) {
+      next_poll = bytes_consumed_ + kSkipPollBytes;
+      XQMFT_RETURN_NOT_OK(cancel->Check());
+    }
+    if (pos_ >= len_ && !Refill()) {
+      return Fail("unexpected end of input; unclosed <" +
+                  std::string(SkipTop()) + ">");
+    }
+    if (data_[pos_] != '<') {
+      // Character data: one sweep to the next '<' or '&', counting
+      // newlines, at most one poll stride at a time.
+      const char* base = data_ + pos_;
+      const std::size_t n =
+          len_ - pos_ < kSkipPollBytes ? len_ - pos_ : kSkipPollBytes;
+      std::size_t newlines;
+      std::size_t line_end;
+      const std::size_t take = ScanSkipRun(base, n, &newlines, &line_end);
+      if (newlines != 0) {
+        line_ += newlines;
+        line_start_ = bytes_consumed_ + line_end;
+      }
+      Consume(take);
+      if (take == n) continue;  // window or poll stride exhausted
+      if (base[take] == '&') {
+        Consume(1);
+        text_spill_.clear();  // decoded only to be checked
+        XQMFT_RETURN_NOT_OK(DecodeEntity(&text_spill_));
+        continue;
+      }
+    }
+    XQMFT_RETURN_NOT_OK(SkipMarkup());
+    if (skip_starts_.empty()) return Status::OK();
+  }
+}
+
+Status SaxParser::SkipMarkup() {
+  // At '<'. Fast paths first: "</top>" and "<name>" inside the window.
+  if (pos_ + 1 < len_) {
+    const char c = data_[pos_ + 1];
+    if (c == '/') {
+      const std::string_view top = SkipTop();
+      const std::size_t end = pos_ + 2 + top.size();
+      if (end < len_ && data_[end] == '>' &&
+          std::memcmp(data_ + pos_ + 2, top.data(), top.size()) == 0) {
+        Consume(end + 1 - pos_);
+        PopSkip();
+        return Status::OK();
+      }
+    } else if (CharClassOf(c) & kClsNameStart) {
+      std::size_t q = pos_ + 2;
+      q += ScanNameRun(data_ + q, len_ - q);
+      if (q < len_ && data_[q] == '>') {
+        PushSkip(std::string_view(data_ + pos_ + 1, q - pos_ - 1));
+        Consume(q + 1 - pos_);
+        return Status::OK();
+      }
+    }
+  }
+  GetChar();  // '<'
+  int c = PeekChar();
+  if (c < 0) return Fail("truncated markup");
+  if (c == '!') {
+    GetChar();
+    c = PeekChar();
+    if (c == '-') return SkipComment();
+    if (c == '[') {
+      std::string_view text;
+      return LexCdata(&text);
+    }
+    return SkipDoctype();
+  }
+  if (c == '?') return SkipProcessingInstruction();
+  if (c == '/') {
+    GetChar();
+    std::string_view name;
+    XQMFT_RETURN_NOT_OK(LexName(&name));
+    const bool match = name == SkipTop();
+    std::string name_copy;
+    if (!match) name_copy.assign(name);
+    SkipWs();
+    if (GetChar() != '>') return Fail("expected '>' in end tag");
+    if (!match) {
+      return Fail("mismatched end tag </" + name_copy + ">, expected </" +
+                  std::string(SkipTop()) + ">");
+    }
+    PopSkip();
+    return Status::OK();
+  }
+  std::string_view name;
+  XQMFT_RETURN_NOT_OK(LexName(&name));
+  PushSkip(name);
+  // Attribute values spill as in LexMarkup (nothing reads them; the spill
+  // keeps LexAttrValue's per-tag bound).
+  tag_spill_.clear();
+  while (true) {
+    SkipWs();
+    c = PeekChar();
+    if (c < 0) return Fail("truncated start tag <" + std::string(SkipTop()));
+    if (c == '>') {
+      GetChar();
+      return Status::OK();
+    }
+    if (c == '/') {
+      GetChar();
+      if (GetChar() != '>') return Fail("expected '/>' in empty-element tag");
+      PopSkip();
+      return Status::OK();
+    }
+    std::string_view attr_name;
+    XQMFT_RETURN_NOT_OK(LexName(&attr_name));
+    SkipWs();
+    if (GetChar() != '=') return Fail("expected '=' after attribute name");
+    SkipWs();
+    std::uint32_t value_off;
+    std::uint32_t value_len;
+    XQMFT_RETURN_NOT_OK(LexAttrValue(&value_off, &value_len));
+  }
 }
 
 namespace {

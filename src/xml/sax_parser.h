@@ -15,6 +15,17 @@
 // boundary — lands in a per-parser spill arena. Sources that expose their
 // whole input as one region (StringSource, MmapSource) are scanned in place
 // with no buffer copies at all.
+//
+// Projection skip (SkipElement): when the union projection rules an element
+// out, the parser fast-forwards to its matching end tag without producing
+// events — no interning, no text views, no pending queue. Everything the
+// full lexer checks is still checked, with the same error text and the same
+// line, column and byte: name-start characters, end-tag names (compared as
+// bytes against a skip stack of names, not interned), attribute syntax and
+// quoting, entities (DecodeEntity), comments, CDATA, PIs and DOCTYPE (the
+// shared Skip*/LexCdata helpers). Character data runs through one fused
+// kernel (ScanSkipRun in xml/char_class.h) that finds the next '<' or '&'
+// and counts newlines in the same sweep.
 #ifndef XQMFT_XML_SAX_PARSER_H_
 #define XQMFT_XML_SAX_PARSER_H_
 
@@ -132,6 +143,15 @@ class SaxParser : public EventSource {
   /// Event views are valid until the next call (events.h contract).
   Status Next(XmlEvent* event) override;
 
+  /// Consumes the rest of the element whose start tag the last Next()
+  /// returned through its matching end tag, producing no events and
+  /// dropping the tag's queued attribute and self-close events (for an
+  /// expanded attribute's start, just that attribute's queued events). Accepts and
+  /// rejects exactly what Next() would (see the file comment); polls
+  /// `cancel` as EventSource::SkipElement describes. Fails with Internal
+  /// when the last Next() did not return a start tag.
+  Status SkipElement(const CancelToken* cancel) override;
+
   /// Number of bytes consumed so far.
   std::size_t bytes_consumed() const override { return bytes_consumed_; }
 
@@ -184,6 +204,19 @@ class SaxParser : public EventSource {
   Status LexCdata(std::string_view* out);
   Status DecodeEntity(std::string* out);
 
+  // Projection skip (SkipElement). The skip stack holds the names of the
+  // elements open inside the skipped one (itself included), concatenated in
+  // skip_names_ with name i starting at skip_starts_[i].
+  Status SkipMarkup();
+  std::string_view SkipTop() const;
+  void PushSkip(std::string_view name);
+  void PopSkip();
+  /// Consumes `n` newline-free bytes of the current window.
+  void Consume(std::size_t n) {
+    bytes_consumed_ += n;
+    pos_ += n;
+  }
+
   ByteSource* source_;
   SaxOptions options_;
   SymbolTable owned_symbols_;     // used when no shared table is supplied
@@ -214,6 +247,19 @@ class SaxParser : public EventSource {
   std::vector<XmlAttr> attrs_view_;  // backing for XmlEvent::attrs
   std::vector<PendingEvent> pending_;
   std::size_t pending_head_ = 0;
+
+  // What SkipElement may skip: set when Next() returns a start tag (or an
+  // expanded attribute's start from the pending queue), reset by the next
+  // call to Next().
+  enum class SkipTarget : unsigned char {
+    kNone,
+    kOpen,
+    kSelfClosed,
+    kAttribute
+  };
+  SkipTarget skip_target_ = SkipTarget::kNone;
+  std::string skip_names_;
+  std::vector<std::size_t> skip_starts_;
 };
 
 /// Parses a whole document (or forest of documents) into a DOM Forest.

@@ -38,6 +38,18 @@ case "$CASE" in
   run)
     OUT=$("$XQMFT" run "$QUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
+    # A subtree no query reads is skipped in the tokenizer; --stats ends
+    # with the skip counters ("<x>1</x></junk>" is 15 bytes).
+    printf '<doc><junk><x>1</x></junk><item>a</item></doc>' \
+      > "$TMPDIR_SMOKE/skip.xml"
+    OUT=$("$XQMFT" run "$QUERY" "$TMPDIR_SMOKE/skip.xml") || fail "exit $?"
+    expect_contains "$OUT" "<out><hit>a</hit></out>"
+    STATS=$("$XQMFT" run --stats "$QUERY" "$TMPDIR_SMOKE/skip.xml" \
+      2>&1 >/dev/null) || fail "exit $?"
+    case "$STATS" in
+      *", subtrees skipped: 1, bytes skipped: 15") ;;
+      *) fail "expected trailing skip counters: $STATS" ;;
+    esac
     ;;
   run_stdin)
     OUT=$("$XQMFT" run "$QUERY" < "$XML") || fail "exit $?"
@@ -129,6 +141,12 @@ case "$CASE" in
     OUT=$("$XQMFT" run --query-file "$QFILE" < "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
     expect_contains "$OUT" "<out><up>a</up><up>b</up></out>"
+    # The shared pass reports the subtrees it skipped in the tokenizer.
+    printf '<doc><junk><x>1</x></junk><item>a</item></doc>' \
+      > "$TMPDIR_SMOKE/skip.xml"
+    OUT=$("$XQMFT" run --stats -q "$QUERY" -q "$Q2" \
+      "$TMPDIR_SMOKE/skip.xml" 2>&1) || fail "exit $?"
+    expect_contains "$OUT" "subtrees skipped: 1, bytes skipped: 15"
     # Inputs are set up as for one query: several files (each query's
     # outputs concatenate in input order) or a pretok cache.
     OUT=$("$XQMFT" run -q "$QUERY" -q "$Q2" "$XML" "$XML") || fail "exit $?"
@@ -156,6 +174,7 @@ case "$CASE" in
     expect_contains "$OUT" '"id":1,"ok":true'
     expect_contains "$OUT" '"id":4,"ok":true'
     expect_contains "$OUT" '"deduped":true'
+    expect_contains "$OUT" '"subtrees_skipped":0,"bytes_skipped":0'
     expect_contains "$OUT" "$WANT"
     expect_contains "$OUT" '"batch":true'
     expect_contains "$OUT" '"documents":1'

@@ -24,6 +24,7 @@
 #include "multiquery/projection.h"
 #include "multiquery/union_projection.h"
 #include "stream/engine.h"
+#include "util/cancel.h"
 #include "xml/events.h"
 #include "xml/forest.h"
 #include "xml/pretok.h"
@@ -382,6 +383,107 @@ TEST(MultiQuery, ConstantQueriesSkipTheWholeDocument) {
   EXPECT_TRUE(result.pass.projection_enabled);
   // A query set that reads nothing skips every element of the document.
   EXPECT_EQ(result.pass.events_skipped, result.pass.events_total);
+}
+
+TEST(MultiQuery, SkipCountersArePinnedOnAFixedDocument) {
+  // The projection rejects <regions> (one subtree: its bytes after the
+  // start tag) and the expanded id attribute of each <person> (skipped from
+  // the parser's pending queue: no input bytes).
+  const std::string skipped = "<item>x&amp;y</item><item>z</item></regions>";
+  const std::string xml = "<site><regions>" + skipped +
+                          "<people><person id=\"p0\"><name>A</name></person>"
+                          "<person id=\"p1\"><name>B</name></person></people>"
+                          "</site>";
+  Plans plans = CompileSet(
+      {"<out>{ for $p in $input/site/people/person return "
+       "<n>{$p/name/text()}</n> }</out>"});
+  std::vector<StringSink> sinks;
+  RunResult result;
+  ASSERT_TRUE(RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result).ok());
+  EXPECT_EQ(sinks[0].str(), "<out><n>A</n><n>B</n></out>");
+  const MultiQueryStats& pass = result.pass;
+  EXPECT_TRUE(pass.projection_enabled);
+  EXPECT_EQ(pass.subtrees_skipped, 3u);
+  EXPECT_EQ(pass.bytes_skipped, skipped.size());
+  // Produced: site, regions, people, 2 x (person, id, name, "A"/"B",
+  // </name>, </person>), </people>, </site>; dropped: regions and the two
+  // id starts.
+  EXPECT_EQ(pass.events_total, 17u);
+  EXPECT_EQ(pass.events_skipped, 3u);
+  EXPECT_EQ(pass.bytes_in, xml.size());
+  EXPECT_EQ(result.plans[0].events_fed, 14u);
+
+  // A pretok replay skips the same subtrees.
+  std::string pretok;
+  StringSource src(xml);
+  ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  PretokSource events(pretok);
+  ASSERT_TRUE(
+      RunSet(plans, ParallelInput::Events(&events), &sinks, &result).ok());
+  EXPECT_EQ(sinks[0].str(), "<out><n>A</n><n>B</n></out>");
+  EXPECT_EQ(result.pass.subtrees_skipped, 3u);
+  EXPECT_EQ(result.pass.events_total, 17u);
+
+  // No projection, no skips.
+  RunOptions off;
+  off.union_projection = false;
+  ASSERT_TRUE(
+      RunSet(plans, ParallelInput::XmlText(xml), &sinks, &result, off).ok());
+  EXPECT_EQ(result.pass.subtrees_skipped, 0u);
+  EXPECT_EQ(result.pass.bytes_skipped, 0u);
+}
+
+// A source that trips `token` once it has handed out `trip_after` bytes: a
+// client cancelling while the run is deep inside one projected-out subtree.
+class CancellingSource : public ByteSource {
+ public:
+  CancellingSource(std::string_view s, std::size_t trip_after,
+                   CancelToken* token)
+      : s_(s), trip_after_(trip_after), token_(token) {}
+  std::size_t Read(char* buf, std::size_t n) override {
+    std::size_t take = std::min(n, s_.size() - pos_);
+    std::memcpy(buf, s_.data() + pos_, take);
+    pos_ += take;
+    if (pos_ >= trip_after_) token_->Cancel();
+    return take;
+  }
+  std::size_t bytes_read() const { return pos_; }
+
+ private:
+  std::string_view s_;
+  std::size_t pos_ = 0;
+  std::size_t trip_after_;
+  CancelToken* token_;
+};
+
+TEST(MultiQuery, CancellationIsObservedInsideASkippedSubtree) {
+  // 4 MiB of <regions> that no plan reads: one skip, no events — only the
+  // skip's own polling can notice the token.
+  std::string xml = "<site><regions>";
+  const std::size_t skip_begin = xml.size();
+  while (xml.size() < skip_begin + (std::size_t{4} << 20)) {
+    xml += "<item><name>n</name><text>some item text</text></item>\n";
+  }
+  xml += "</regions><people><person><name>A</name></person></people></site>";
+  Plans plans = CompileSet(
+      {"<out>{ for $p in $input/site/people/person return "
+       "<n>{$p/name/text()}</n> }</out>"});
+  CancelToken token;
+  CancellingSource source(xml, skip_begin + (std::size_t{1} << 20), &token);
+  RunOptions options;
+  options.cancel = &token;
+  std::vector<StringSink> sinks;
+  RunResult result;
+  Status st = RunSet(plans, ParallelInput::Bytes(&source), &sinks, &result,
+                     options);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
+  EXPECT_EQ(result.plans[0].status.code(), StatusCode::kCancelled);
+  // Caught within a poll stride plus a refill window of the trip point,
+  // long before the end of the input.
+  EXPECT_LT(result.pass.bytes_in,
+            skip_begin + (std::size_t{1} << 20) + (std::size_t{256} << 10));
+  EXPECT_LT(source.bytes_read(), xml.size());
+  EXPECT_EQ(result.pass.events_total, 2u);  // <site>, <regions>
 }
 
 TEST(MultiQuery, UnprojectablePlanDisablesProjection) {

@@ -1,5 +1,7 @@
 // Tests for the pre-tokenized binary event format: event-stream round trips,
-// symbol remapping into a consumer table, corruption handling, and the
+// symbol remapping into a consumer table, corruption handling, the
+// projection skip's differential contract (SkipElement against Next() over
+// valid, truncated, mutated and hand-corrupted streams), and the
 // differential guarantee the streaming engine relies on — byte-identical
 // output whether it consumes text XML or a pretok cache, across the Figure 3
 // query corpus.
@@ -8,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -285,6 +288,121 @@ TEST(PretokTest, RepeatedEndOfDocumentClearsViews) {
   EXPECT_TRUE(ev.name.empty());
   EXPECT_TRUE(ev.text.empty());
   EXPECT_EQ(ev.attrs, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Projection skip: SkipElement walks records exactly as Next() checks them.
+// ---------------------------------------------------------------------------
+
+// For every start record of `bytes` — the whole stream, or the bounded range
+// [begin, end) when `end` is non-zero — skipping it and pulling it through
+// Next() must agree: same status, same bytes_consumed(), same events after.
+void ExpectPretokSkipMatchesNext(const std::string& bytes,
+                                 std::size_t begin = 0, std::size_t end = 0) {
+  const std::vector<std::string_view> no_prefix;
+  auto make = [&]() {
+    return end == 0 ? std::make_unique<PretokSource>(bytes)
+                    : std::make_unique<PretokSource>(bytes, begin, end,
+                                                     &no_prefix, 0);
+  };
+  for (std::size_t k = 0;; ++k) {
+    auto full = make();
+    const SkipOutcome want = ConsumeElement(full.get(), k, /*skip=*/false);
+    auto skipper = make();
+    ASSERT_EQ(ConsumeElement(skipper.get(), k, /*skip=*/true), want)
+        << "start " << k << ", range [" << begin << ", " << end << ")";
+    if (!want.reached) return;
+  }
+}
+
+const char* const kPretokSkipCorpus[] = {
+    "<r><a x=\"1\"><b>t</b><c/></a><b>u</b></r>",
+    "<r><a><late/></a><late>defined inside the skipped a</late></r>",
+    "<a><a><a>deep</a></a><a/></a>",
+    "<a/><b><c>t</c></b><c/>",
+};
+
+TEST(PretokSkipTest, ValidStreamsSkipLikeNext) {
+  for (const char* xml : kPretokSkipCorpus) {
+    const std::string bytes = Tokenize(xml);
+    ExpectPretokSkipMatchesNext(bytes);
+    // Bounded: the record range without the eod record.
+    const std::size_t records_begin = PretokSource(bytes).bytes_consumed();
+    ExpectPretokSkipMatchesNext(bytes, records_begin, bytes.size() - 1);
+  }
+}
+
+TEST(PretokSkipTest, TruncatedAndMutatedStreamsFailLikeNext) {
+  Rng rng(31);
+  for (const char* xml : kPretokSkipCorpus) {
+    const std::string bytes = Tokenize(xml);
+    const std::size_t records_begin = PretokSource(bytes).bytes_consumed();
+    for (std::size_t cut = records_begin; cut < bytes.size(); ++cut) {
+      ExpectPretokSkipMatchesNext(bytes.substr(0, cut));
+      ExpectPretokSkipMatchesNext(bytes, records_begin, cut);
+    }
+    for (int m = 0; m < 64; ++m) {
+      std::string mutant = bytes;
+      const std::size_t at =
+          records_begin + rng.Below(bytes.size() - records_begin);
+      mutant[at] = static_cast<char>(rng.Below(8) == 0 ? 0x80 + rng.Below(128)
+                                                       : rng.Below(6));
+      ExpectPretokSkipMatchesNext(mutant);
+      ExpectPretokSkipMatchesNext(mutant, records_begin, mutant.size() - 1);
+    }
+  }
+}
+
+TEST(PretokSkipTest, CorruptRecordsInsideASkippedElement) {
+  // <r><a> then one corrupt record, then the rest of a valid stream.
+  const std::string valid = Tokenize("<r><a><b/></a></r>");
+  const std::size_t records_begin = PretokSource(valid).bytes_consumed();
+  std::string prefix = valid.substr(0, records_begin);
+  prefix += std::string("\x01\x01r\x02\x00\x01\x01" "a\x02\x01", 10);
+  const std::string suffix("\x03\x03\x00", 3);  // </a></r>, eod
+  struct Case {
+    const char* what;
+    std::string record;
+  };
+  const Case cases[] = {
+      {"truncated varint", std::string("\x02\x80", 2)},
+      {"undefined symbol id", std::string("\x02\x07", 2)},
+      {"eod record", std::string("\x00", 1)},
+      {"truncated text record", std::string("\x04\x7f" "x", 3)},
+      {"truncated symbol definition", std::string("\x01\x05" "a", 3)},
+      {"unknown opcode", std::string("\x7e", 1)},
+  };
+  for (const Case& c : cases) {
+    for (const std::string& stream :
+         {prefix + c.record, prefix + c.record + suffix}) {
+      for (std::size_t k : {std::size_t(0), std::size_t(1)}) {
+        PretokSource src(stream);
+        const SkipOutcome skipped = ConsumeElement(&src, k, /*skip=*/true);
+        EXPECT_TRUE(skipped.reached) << c.what;
+        EXPECT_NE(skipped.status, "OK") << c.what << ", start " << k;
+      }
+      ExpectPretokSkipMatchesNext(stream);
+      // Bounded over everything after the header: an eod record is itself
+      // an error there.
+      ExpectPretokSkipMatchesNext(stream, records_begin, stream.size());
+    }
+  }
+}
+
+TEST(PretokSkipTest, SkipNeedsAStartElement) {
+  const std::string bytes = Tokenize("<r>t<a/></r>");
+  PretokSource src(bytes);
+  XmlEvent ev;
+  EXPECT_EQ(src.SkipElement(nullptr).code(), StatusCode::kInternal);
+  ASSERT_TRUE(src.Next(&ev).ok());  // <r>
+  ASSERT_TRUE(src.Next(&ev).ok());  // "t"
+  EXPECT_EQ(src.SkipElement(nullptr).code(), StatusCode::kInternal);
+  ASSERT_TRUE(src.Next(&ev).ok());  // <a>
+  ASSERT_TRUE(src.SkipElement(nullptr).ok());
+  EXPECT_EQ(src.SkipElement(nullptr).code(), StatusCode::kInternal);
+  ASSERT_TRUE(src.Next(&ev).ok());
+  EXPECT_EQ(ev.type, XmlEventType::kEndElement);
+  EXPECT_EQ(ev.name, "r");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 // Tests for the XML substrate: forest model, term notation, SAX parser,
-// attribute encoding, sinks, and parse/serialize round-trips (including a
-// randomized property sweep).
+// attribute encoding, sinks, parse/serialize round-trips (including a
+// randomized property sweep), and the projection skip's differential
+// well-formedness contract (SkipElement against Next()).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -475,6 +477,264 @@ TEST(SimdScanTest, SimdAndScalarTracesAgree) {
   EXPECT_EQ(chunked_trace.value(), scalar_trace.value());
 
   SetSimdScanEnabled(was_enabled);
+}
+
+// The skip kernel against its scalar definition: a stop byte ('<' or '&')
+// at every offset within (and past) a vector, with '\n' at every offset
+// before, at and after it, plus random mixes — same length, same newline
+// count, same offset past the last newline.
+TEST(SimdScanTest, SkipKernelMatchesScalarAtEveryOffset) {
+  struct Scan {
+    std::size_t take, newlines, line_end;
+    bool operator==(const Scan& o) const {
+      return take == o.take && newlines == o.newlines &&
+             line_end == o.line_end;
+    }
+  };
+  auto scan = [](const std::string& buf, bool simd) {
+    SetSimdScanEnabled(simd);
+    Scan s{};
+    s.take = ScanSkipRun(buf.data(), buf.size(), &s.newlines, &s.line_end);
+    return s;
+  };
+  auto scalar_reference = [](const std::string& buf) {
+    Scan s{};
+    for (; s.take < buf.size(); ++s.take) {
+      const char c = buf[s.take];
+      if (c == '<' || c == '&') break;
+      if (c == '\n') {
+        ++s.newlines;
+        s.line_end = s.take + 1;
+      }
+    }
+    return s;
+  };
+  const bool was_enabled = SimdScanEnabled();
+  for (char stop : {'<', '&'}) {
+    for (std::size_t at = 0; at <= 48; ++at) {
+      for (std::size_t nl = 0; nl <= 49; ++nl) {
+        std::string buf(48, 'x');
+        if (nl < buf.size()) buf[nl] = '\n';
+        if (nl + 17 < buf.size()) buf[nl + 17] = '\n';  // a second vector
+        if (at < buf.size()) buf[at] = stop;
+        const Scan want = scalar_reference(buf);
+        EXPECT_EQ(scan(buf, false), want) << "at=" << at << " nl=" << nl;
+        EXPECT_EQ(scan(buf, true), want) << "at=" << at << " nl=" << nl;
+      }
+    }
+  }
+  Rng rng(11);
+  const char alphabet[] = {'a', ' ', '\n', '\n', '<', '&', '>', '\r'};
+  for (int round = 0; round < 2000; ++round) {
+    std::string buf(rng.Below(80), 'a');
+    for (char& c : buf) {
+      c = alphabet[rng.Below(rng.Chance(1, 2) ? 4 : sizeof alphabet)];
+    }
+    const Scan want = scalar_reference(buf);
+    EXPECT_EQ(scan(buf, false), want) << buf;
+    EXPECT_EQ(scan(buf, true), want) << buf;
+  }
+  SetSimdScanEnabled(was_enabled);
+}
+
+// XQMFT_SIMD=off selects the scalar scanners for the whole process (ctest
+// runs this suite a second time under it, as xml_test_simd_off).
+TEST(SimdScanTest, EnvironmentSelectsThePath) {
+  const char* env = std::getenv("XQMFT_SIMD");
+  const bool off = env != nullptr &&
+                   (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0);
+  EXPECT_EQ(SimdScanEnabled(), SimdScanAvailable() && !off);
+}
+
+// ---- Projection skip: SkipElement accepts and rejects what Next() does. ----
+
+// Malformed documents whose fault sits inside some element, so a skip of an
+// enclosing element must find it: one per lexer error.
+const char* const kMalformedCorpus[] = {
+    "<r><a><b></a></b></r>",
+    "<r><a>\n<b>\n x</c></a></r>",
+    "<r><a>&unknown;</a></r>",
+    "<r><a>&#0;</a></r>",
+    "<r><a>&#x110000;</a></r>",
+    "<r><a>&waytoolongname;</a></r>",
+    "<r><a>&amp</a></r>",
+    "<r><a>&amp",
+    "<r><a x=1/></r>",
+    "<r><a x></a></r>",
+    "<r><a x='v\"/></r>",
+    "<r><a x='&bogus;'/></r>",
+    "<r><a x = \"v\" y='w' / ></a></r>",
+    "<r><a><1b/></a></r>",
+    "<r><a></ a></r>",
+    "<r><a><</a></r>",
+    "<r><a></a",
+    "<r><a></a x></r>",
+    "<r><a><b",
+    "<r><a><b x=",
+    "<r><a><",
+    "<r><a><![CDATA[never closed",
+    "<r><a><![CDAT[x]]></a></r>",
+    "<r><a><!-- unterminated",
+    "<r><a><!- x --></a></r>",
+    "<r><a><?pi unterminated",
+    "<r><a><!DOCTYPE x [ <!ELEMENT x ANY> ",
+    "<r><a>unclosed",
+    "<r><a><b>\n\n</b>\n",
+    "<r><a></b></a></r>",
+    "<r><a><b></B></a></r>",
+    "<r><abc></ab></abc></r>",
+    "<r><ab></abc></ab></r>",
+};
+
+// Valid documents touching every construct a skip walks through, nested so
+// each start tag has a different subtree below it.
+const char* const kSkipSeeds[] = {
+    "<r><a x=\"1\" y='&lt;2&gt;'><b>t&amp;u</b><c/>\n<!-- c -->"
+    "<?p i?><![CDATA[<x>]]></a><d>v</d></r>",
+    "<site><people><person id=\"p0\"><name>A\nB</name></person>"
+    "<person id='p1'><name>C</name><age>3</age></person></people>"
+    "<regions><item><text>x y\nz</text></item></regions></site>",
+    "<a><a><a>deep</a></a><a/></a>",
+};
+
+// Byte mutants of the seeds: each replaces, drops or duplicates one byte,
+// drawing replacements from the bytes the lexer branches on.
+std::vector<std::string> MutatedDocuments() {
+  const char interesting[] = {'<', '>', '/', '&', ';', '"', '\'', '=',
+                              '!', '?', '-', '[', ']', ' ', '\n', 'a',
+                              '1', '#', 'x'};
+  std::vector<std::string> docs;
+  Rng rng(29);
+  for (const char* seed : kSkipSeeds) {
+    const std::string base = seed;
+    for (int m = 0; m < 48; ++m) {
+      std::string doc = base;
+      const std::size_t at = rng.Below(doc.size());
+      switch (rng.Below(3)) {
+        case 0:
+          doc[at] = interesting[rng.Below(sizeof interesting)];
+          break;
+        case 1:
+          doc.erase(at, 1);
+          break;
+        default:
+          doc.insert(at, 1, doc[at]);
+          break;
+      }
+      docs.push_back(doc);
+    }
+  }
+  return docs;
+}
+
+// For every start tag of `xml`, skipping it and pulling it through Next()
+// must agree — on the whole input (mapped) and at every refill size 1..64.
+void ExpectSkipMatchesFullLex(const std::string& xml) {
+  for (std::size_t k = 0;; ++k) {
+    StringSource full_src(xml);
+    SaxParser full(&full_src);
+    const SkipOutcome want = ConsumeElement(&full, k, /*skip=*/false);
+    StringSource skip_src(xml);
+    SaxParser skipper(&skip_src);
+    EXPECT_EQ(ConsumeElement(&skipper, k, /*skip=*/true), want)
+        << "mapped, start " << k << " of " << xml;
+    for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+      ChunkedSource chunked_full(xml, chunk);
+      SaxParser full_parser(&chunked_full);
+      ChunkedSource chunked_skip(xml, chunk);
+      SaxParser skip_parser(&chunked_skip);
+      // Refill boundaries change nothing either way.
+      ASSERT_EQ(ConsumeElement(&full_parser, k, false), want)
+          << "chunk " << chunk << ", start " << k << " of " << xml;
+      ASSERT_EQ(ConsumeElement(&skip_parser, k, true), want)
+          << "chunk " << chunk << ", start " << k << " of " << xml;
+    }
+    if (!want.reached) return;
+  }
+}
+
+TEST(SaxSkipTest, ConformanceCorpusSkipsLikeFullLex) {
+  for (const char* xml : kConformanceCorpus) ExpectSkipMatchesFullLex(xml);
+  for (const char* xml : kSkipSeeds) ExpectSkipMatchesFullLex(xml);
+}
+
+TEST(SaxSkipTest, MalformedCorpusFailsLikeFullLex) {
+  for (const char* xml : kMalformedCorpus) {
+    // Skipping the outer <r> must fail exactly as lexing it does.
+    StringSource src(xml);
+    SaxParser parser(&src);
+    SkipOutcome got = ConsumeElement(&parser, 0, /*skip=*/true);
+    EXPECT_NE(got.status, "OK") << xml;
+    ExpectSkipMatchesFullLex(xml);
+  }
+}
+
+TEST(SaxSkipTest, MutatedDocumentsSkipLikeFullLex) {
+  for (const std::string& xml : MutatedDocuments()) {
+    ExpectSkipMatchesFullLex(xml);
+  }
+}
+
+TEST(SaxSkipTest, SkipDropsQueuedAttributeAndSelfCloseEvents) {
+  StringSource src("<r><a x=\"1\" y=\"2\"/><b>t</b></r>");
+  SaxParser parser(&src);
+  XmlEvent ev;
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <r>
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <a ...> (self-closing)
+  ASSERT_EQ(ev.name, "a");
+  ASSERT_TRUE(parser.SkipElement(nullptr).ok());
+  ASSERT_TRUE(parser.Next(&ev).ok());
+  EXPECT_EQ(ev.type, XmlEventType::kStartElement);
+  EXPECT_EQ(ev.name, "b");
+}
+
+TEST(SaxSkipTest, SkipOfAnExpandedAttributeDropsOnlyThatAttribute) {
+  StringSource src("<r><a x=\"1\" y=\"2\"/></r>");
+  SaxParser parser(&src);
+  XmlEvent ev;
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <r>
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <a>
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <x>, from the pending queue
+  ASSERT_EQ(ev.name, "x");
+  ASSERT_TRUE(parser.SkipElement(nullptr).ok());
+  auto rest = Trace(static_cast<EventSource*>(&parser));
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  const std::vector<TracedEvent> want = {
+      {XmlEventType::kStartElement, "y", ""},
+      {XmlEventType::kText, "", "2"},
+      {XmlEventType::kEndElement, "y", ""},
+      {XmlEventType::kEndElement, "a", ""},
+      {XmlEventType::kEndElement, "r", ""},
+      {XmlEventType::kEndOfDocument, "", ""}};
+  EXPECT_EQ(rest.value(), want);
+}
+
+TEST(SaxSkipTest, SkipNeedsAStartTag) {
+  StringSource src("<r>t<a/></r>");
+  SaxParser parser(&src);
+  XmlEvent ev;
+  EXPECT_EQ(parser.SkipElement(nullptr).code(), StatusCode::kInternal);
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <r>
+  ASSERT_TRUE(parser.Next(&ev).ok());  // "t"
+  EXPECT_EQ(parser.SkipElement(nullptr).code(), StatusCode::kInternal);
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <a/>
+  ASSERT_TRUE(parser.SkipElement(nullptr).ok());
+  // One skip per start tag.
+  EXPECT_EQ(parser.SkipElement(nullptr).code(), StatusCode::kInternal);
+}
+
+TEST(SaxSkipTest, SkipInternsNoNames) {
+  SymbolTable symbols;
+  StringSource src("<r><a><never_seen x='1'/></a><b/></r>");
+  SaxParser parser(&src, {}, &symbols);
+  XmlEvent ev;
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <r>
+  ASSERT_TRUE(parser.Next(&ev).ok());  // <a>
+  const std::size_t before = symbols.size();
+  ASSERT_TRUE(parser.SkipElement(nullptr).ok());
+  EXPECT_EQ(symbols.size(), before);
+  ASSERT_TRUE(parser.Next(&ev).ok());
+  EXPECT_EQ(ev.name, "b");
 }
 
 }  // namespace

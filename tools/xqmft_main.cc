@@ -435,7 +435,8 @@ int StreamWith(const CompiledPlan& plan, const std::vector<std::string>& args,
                  "rule applications: %llu, cells arena: %llu, "
                  "cells refcounted: %llu, exprs created: %llu, "
                  "bridge runs: %llu, engine: %s, lowered: %s (%s), "
-                 "segments peak: %zu\n",
+                 "segments peak: %zu, subtrees skipped: %llu, "
+                 "bytes skipped: %llu\n",
                  stats.bytes_in, stats.output_events,
                  HumanBytes(stats.peak_bytes).c_str(),
                  static_cast<unsigned long long>(stats.rule_applications),
@@ -444,7 +445,9 @@ int StreamWith(const CompiledPlan& plan, const std::vector<std::string>& args,
                  static_cast<unsigned long long>(stats.exprs_created),
                  static_cast<unsigned long long>(stats.bridge_runs),
                  stats.used_ops_engine ? "ops" : "table",
-                 lowered ? "yes" : "no", why.c_str(), stats.segments_peak);
+                 lowered ? "yes" : "no", why.c_str(), stats.segments_peak,
+                 static_cast<unsigned long long>(result.pass.subtrees_skipped),
+                 static_cast<unsigned long long>(result.pass.bytes_skipped));
   }
   return 0;
 }
@@ -554,11 +557,14 @@ int RunMulti(const std::vector<std::string>& args, const Flags& flags) {
     }
     std::fprintf(stderr,
                  "shared pass: bytes in: %llu, events: %llu, skipped by "
-                 "projection: %llu (projection %s)\n",
+                 "projection: %llu (projection %s), subtrees skipped: %llu, "
+                 "bytes skipped: %llu\n",
                  static_cast<unsigned long long>(result.pass.bytes_in),
                  static_cast<unsigned long long>(result.pass.events_total),
                  static_cast<unsigned long long>(result.pass.events_skipped),
-                 result.pass.projection_enabled ? "on" : "off");
+                 result.pass.projection_enabled ? "on" : "off",
+                 static_cast<unsigned long long>(result.pass.subtrees_skipped),
+                 static_cast<unsigned long long>(result.pass.bytes_skipped));
   }
   return failed == 0 ? 0 : 1;
 }
